@@ -103,7 +103,7 @@ class ScaleRecord:
     open_indexed_seconds: float  #: best-of-N sidecar-backed open wall
     open_scan_seconds: float  #: best-of-N full-envelope-scan open wall
     open_speedup: float  #: scan / indexed (higher = sidecars help more)
-    query_indexed_seconds: float  #: geo rect over mmap'd rows, grid-pruned
+    query_indexed_seconds: float  #: geo rect over mmap'd rows, block-pruned
     query_scan_seconds: float  #: same rect down the fallback path
     matches: int
     match_digest: str  #: sha256[:16] over the (segment, offset, device) keys

@@ -14,8 +14,8 @@ lowest first:
 
 :mod:`repro.storage.index`
     Persistent per-segment index sidecars (``seg-*.idx``): packed
-    envelope rows plus grid/block pruning summaries with CRC'd footers,
-    served zero-copy through ``mmap``.  Sidecars make opening a store
+    envelope rows, a space-ordered block table and per-device posting
+    lists with CRC'd footers, served zero-copy through ``mmap``.  Sidecars make opening a store
     O(segments) instead of O(records); a missing or corrupt sidecar
     degrades to the envelope scan and is regenerated.
 
@@ -38,7 +38,7 @@ lowest first:
     boxes from the index only) and ``exact`` (chord-level geometry against
     the ε-expanded rectangle; no false negatives by the error bound).
     Candidate selection runs over the mmap'd sidecar rows with
-    grid-level pruning; geographic rectangles may wrap the antimeridian.
+    block-level pruning; geographic rectangles may wrap the antimeridian.
 
 ``python -m repro.storage`` drives all of it: ``ingest`` a simulated
 fleet to disk, ``stat`` a store, ``query`` it, ``compact`` it,

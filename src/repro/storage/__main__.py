@@ -176,6 +176,10 @@ def _cmd_stat(args) -> int:
             f"({coverage['sidecar_rows']}/{coverage['rows']} rows "
             "served via mmap)"
         )
+        print(
+            f"examined   {coverage['rows_examined']} rows, "
+            f"{coverage['blocks_examined']} blocks by this command"
+        )
         if store.scan_report:
             for segment, dropped in sorted(store.scan_report.items()):
                 print(
@@ -285,7 +289,7 @@ def synthetic_fill(store: TrajectoryStore, records: int, devices: int) -> None:
     """Append deterministic tiny zone-stamped trajectories, fast.
 
     Two key points each, spread over a ~50x50 km patch of UTM zone 33N so
-    the grid pruning has structure to bite on; no randomness, so every
+    the block pruning has structure to bite on; no randomness, so every
     run of the smoke lays down byte-identical stores.
     """
     from ..model.point import PlanePoint
@@ -333,57 +337,76 @@ def _cmd_scale_smoke(args) -> int:
         from ..model.projection import UTMProjection
 
         projection = UTMProjection(zone=zone, south=south)
-        # The middle ninth of the covered plane, unprojected: a realistic
-        # geographic rectangle derived from the data itself.
-        corners = [
-            projection.inverse(
-                box[0] + (box[2] - box[0]) / 3.0,
-                box[1] + (box[3] - box[1]) / 3.0,
-            ),
-            projection.inverse(
-                box[0] + 2.0 * (box[2] - box[0]) / 3.0,
-                box[1] + 2.0 * (box[3] - box[1]) / 3.0,
-            ),
-        ]
-        geo_rect = (
-            min(c[0] for c in corners),
-            min(c[1] for c in corners),
-            max(c[0] for c in corners),
-            max(c[1] for c in corners),
-        )
-        fast_start = time.perf_counter()
-        fast = geo_range_query(store, geo_rect, mode="approximate")
-        fast_wall = time.perf_counter() - fast_start
+
+        def geo_rect_of(lo: float, hi: float):
+            """The [lo, hi] fraction of the covered plane on each axis,
+            unprojected: a geographic rectangle derived from the data."""
+            corners = [
+                projection.inverse(
+                    box[0] + f * (box[2] - box[0]),
+                    box[1] + f * (box[3] - box[1]),
+                )
+                for f in (lo, hi)
+            ]
+            return (
+                min(c[0] for c in corners),
+                min(c[1] for c in corners),
+                max(c[0] for c in corners),
+                max(c[1] for c in corners),
+            )
+
+        # The middle ninth of the plane, and 1/100 of the extent per side
+        # (the corner, where the synthetic fill is sure to have records).
+        rects = {
+            "geo query": geo_rect_of(1.0 / 3.0, 2.0 / 3.0),
+            "small query": geo_rect_of(0.0, 0.01),
+        }
+        fast = {}
+        lines = []
+        for label, geo_rect in rects.items():
+            examined = store.index_report()["rows_examined"]
+            start = time.perf_counter()
+            fast[label] = geo_range_query(store, geo_rect, mode="approximate")
+            wall = time.perf_counter() - start
+            examined = store.index_report()["rows_examined"] - examined
+            lines.append(
+                f"{label} {len(fast[label])} matches in {wall*1e3:.1f}ms "
+                f"({examined} rows examined)"
+            )
     finally:
         store.close()
 
-    # The same question answered without sidecars: full envelope scan on
+    # The same questions answered without sidecars: full envelope scan on
     # open, linear candidate selection — the fallback path must agree
     # record for record.
     scan_start = time.perf_counter()
     scan_store = TrajectoryStore(args.store, index_sidecars=False)
     scan_open_wall = time.perf_counter() - scan_start
     try:
-        slow = geo_range_query(scan_store, geo_rect, mode="approximate")
+        slow = {
+            label: geo_range_query(scan_store, geo_rect, mode="approximate")
+            for label, geo_rect in rects.items()
+        }
     finally:
         scan_store.close()
 
-    fast_key = [(m.ref.segment, m.ref.offset, m.device_id) for m in fast]
-    slow_key = [(m.ref.segment, m.ref.offset, m.device_id) for m in slow]
     print(
         f"{total} records ({build_wall:.2f}s build): open {open_wall*1e3:.1f}ms "
         f"indexed vs {scan_open_wall*1e3:.1f}ms scan "
         f"({scan_open_wall / max(open_wall, 1e-9):.0f}x), "
         f"{coverage['sidecar_segments']}/{coverage['segments']} segments via "
-        f"sidecar, geo query {len(fast)} matches in {fast_wall*1e3:.1f}ms"
+        f"sidecar, {', '.join(lines)}"
     )
-    if fast_key != slow_key:
-        print(
-            f"FAIL: mmap path returned {len(fast)} matches, fallback scan "
-            f"{len(slow)} — the paths disagree",
-            file=sys.stderr,
-        )
-        return 1
+    for label in rects:
+        fast_key = [(m.ref.segment, m.ref.offset, m.device_id) for m in fast[label]]
+        slow_key = [(m.ref.segment, m.ref.offset, m.device_id) for m in slow[label]]
+        if fast_key != slow_key:
+            print(
+                f"FAIL: {label}: mmap path returned {len(fast_key)} matches, "
+                f"fallback scan {len(slow_key)} — the paths disagree",
+                file=sys.stderr,
+            )
+            return 1
     if coverage["scanned_segments"]:
         print(
             f"FAIL: {coverage['scanned_segments']} segment(s) fell back to "

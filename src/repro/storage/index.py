@@ -10,52 +10,75 @@ million record envelopes.  The layout (all little-endian, stdlib
 
     +---------------------------+
     | header  b"BQSIDX1\\n"      |  8 bytes
-    | row region                |  n_rows x 80 B  (_ROW)
+    | row region                |  n_rows x 80 B  (_ROW), append order
+    | posting region            |  n_rows x u32: row ordinals grouped per
+    |                           |    device (device-table order), ascending
+    | order region              |  n_rows x u32: the rows in space order
     | device table              |  per device: u16 len | utf-8 id |
     |                           |    u32 n_rows | u32 first | u32 last
     | tombstone region          |  n_tombstones x 8 B  (_TOMB)
-    | grid region               |  grid_nx*grid_ny x 16 B  (_CELL)
-    | block region              |  ceil(n_rows/block_rows) x 56 B (_BLOCK)
+    | sorted-block region       |  ceil(n_rows/sort_rows) x 56 B (_SBLOCK)
+    | time-block region         |  ceil(n_rows/block_rows) x 16 B (_TBLOCK)
     | footer                    |  152 B (_FOOTER), CRC'd
     +---------------------------+
+
+The row region stays in **append order**: a row's ordinal is what
+tombstone markers, ``iter_refs`` and compaction count in.  Everything
+spatial goes through the *order* region instead — a permutation of the
+row ordinals sorted by ``(utm_zone, utm_south, Z-order cell of the
+envelope centre, t_min, row)`` — so the segment is ordered in space once,
+at seal time, without moving a row.
 
 The footer carries the segment-level envelope, per-region CRCs and the
 CRC of the segment log it was built from, so a reader can decide how
 much to trust without touching the log:
 
 * ``footer_crc`` / ``meta_crc`` are verified at open (microseconds —
-  the footer plus the small device/tombstone/grid/block regions).
+  the footer plus everything behind the row region).
 * ``rows_crc`` covers the big row region and is verified **lazily**, on
-  the first query that iterates the segment's rows — open time stays
-  proportional to segment *count*, not record count.
+  the first query that touches the segment's rows, together with the
+  range check of the order and posting entries that point into it —
+  open time stays proportional to segment *count*, not record count.
 * ``log_crc`` / ``head_crc`` tie the sidecar to the log content it
   indexed.  Sealed segments are trusted on size plus a 4 KiB head CRC
   (record payloads are re-CRC'd on every read anyway); the *active*
   segment — the one a crash could have damaged — is only trusted after
   a full log-content CRC.
 
-Any validation failure raises :class:`SidecarError` and the store falls
-back to the legacy envelope scan for that segment, regenerating the
-sidecar afterwards; a corrupt ``.idx`` can cost time, never answers.
+Any validation failure — a version-1 sidecar (8x8 grid, no order or
+posting region) included — raises :class:`SidecarError` and the store
+falls back to the legacy envelope scan for that segment, regenerating
+the sidecar afterwards; a corrupt or old ``.idx`` can cost time, never
+answers.
 
-Pruning happens at three grains before any per-row test: the footer
-envelope (whole segment), an ``8x8`` spatial grid with per-cell time
-spans, and per-512-row block envelopes.  Rows are assigned to every
-grid cell their ε-expanded bounding box overlaps, and blocks carry
-their own max ε, so every prune is conservative: a skipped cell/block
+Pruning is the footer envelope (whole segment), then one block table
+before any per-row test.  A rectangle is tested against the **sorted
+blocks** — envelopes over runs of ``sort_rows`` (64) rows *of the order
+region*, tight because neighbours in Z-order are neighbours on the map,
+each tagged with its ``(zone, south)`` frame unless it straddles two —
+and only the rows of surviving blocks are unpacked, in ascending row
+order, so candidates still come out in append order.  A time-only
+window is tested against the **time blocks**, ``(t_min, t_max)`` over
+runs of ``block_rows`` (512) rows in append order, which is time order
+for a fleet on a shared clock.  Sorted-block envelopes are stored
+ε-expanded per row, so every prune is conservative: a skipped block
 provably contains no row whose ε-expanded box reaches the query
-rectangle within the window.
+rectangle within the window.  A device's rows are a slice of the
+posting region, so its manifest costs its own records, not the span
+between its first and last.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from .. import fsio
 from ..model.projection import UTMProjection
@@ -71,7 +94,9 @@ __all__ = [
 
 _HEADER = b"BQSIDX1\n"
 _FOOTER_MAGIC = b"BQSF"
-_VERSION = 1
+#: 2 replaced the 8x8 grid with the order, posting and sorted-block
+#: regions; a version-1 sidecar is rejected and regenerated.
+_VERSION = 2
 
 #: One envelope row: t_min t_max x_min x_max y_min y_max epsilon,
 #: device index, key-point count, frame offset, frame length, UTM zone
@@ -80,24 +105,27 @@ _ROW = struct.Struct("<7dIIQIBB2x")
 #: One tombstone: row marker (trajectory rows preceding it in this
 #: segment), device index.
 _TOMB = struct.Struct("<II")
-#: One grid cell: time span of the rows assigned to it (+inf/-inf when
-#: empty — the cell is unmarked).
-_CELL = struct.Struct("<2d")
-#: One block summary: t/x/y envelope of a run of rows plus their max
-#: finite ε.
-_BLOCK = struct.Struct("<7d")
+#: One sorted block: t span and ε-expanded x/y envelope of a run of the
+#: order region, then the rows' UTM zone and hemisphere flag (zone
+#: ``_MIXED`` when the run straddles two frames), 6 pad bytes.
+_SBLOCK = struct.Struct("<6dBB6x")
+#: One time block: t span of a run of rows in append order.
+_TBLOCK = struct.Struct("<2d")
 #: magic, version, flags, n_rows, n_devices, n_tombstones, dev_bytes,
-#: block_rows, grid_nx, grid_ny, segment_size, damaged, log_crc,
-#: head_crc, total_key_points, envelope (t0 t1 x0 x1 y0 y1 max_eps),
-#: zones_north, zones_south, has_unstamped, rows_crc, meta_crc,
-#: footer_crc.  152 bytes at the very end of the file.
-_FOOTER = struct.Struct("<4sHHIIIIIHHQQIIQ7dQQB3xIII")
+#: block_rows, sort_rows, segment_size, damaged, log_crc, head_crc,
+#: total_key_points, envelope (t0 t1 x0 x1 y0 y1 max_eps), zones_north,
+#: zones_south, has_unstamped, rows_crc, meta_crc, footer_crc.  152
+#: bytes at the very end of the file.
+_FOOTER = struct.Struct("<4sHHIIIIIH2xQQIIQ7dQQB3xIII")
 
-GRID_NX = 8
-GRID_NY = 8
 BLOCK_ROWS = 512
+SORT_ROWS = 64
+_MIXED = 0xFF
 #: Log-head prefix covered by ``head_crc``.
 HEAD_CRC_BYTES = 4096
+#: Bits of a byte spread to the even positions (base 4 reads each binary
+#: digit as two bits): the bit interleave of a Z-order cell, by table.
+_SPREAD = tuple(int(f"{i:b}", 4) for i in range(256))
 
 
 class SidecarError(Exception):
@@ -147,24 +175,6 @@ def _finite_eps(eps: float) -> float:
     return eps if math.isfinite(eps) else 0.0
 
 
-def _cell_span(lo: float, hi: float, g0: float, g1: float, n: int) -> range:
-    """Grid cells a value interval overlaps, clamped to the grid.
-
-    The interval may be unbounded (geographic queries reaching past the
-    polar sampling clamp carry infinite northings), so the endpoints are
-    compared against the grid edge before any arithmetic that would
-    overflow ``int()``.
-    """
-    span = g1 - g0
-    if span <= 0.0:
-        return range(0, 1)
-    i0 = 0 if lo <= g0 else min(int((lo - g0) / span * n), n - 1)
-    i1 = n - 1 if hi >= g1 else max(int((hi - g0) / span * n), 0)
-    if i1 < i0:
-        i1 = i0
-    return range(i0, i1 + 1)
-
-
 def write_sidecar(
     path: str | os.PathLike,
     segment_name: str,
@@ -177,8 +187,6 @@ def write_sidecar(
     damaged: int = 0,
     fsync: bool = False,
     block_rows: int = BLOCK_ROWS,
-    grid_nx: int = GRID_NX,
-    grid_ny: int = GRID_NY,
 ) -> None:
     """Build and atomically write one segment's ``.idx`` sidecar.
 
@@ -190,16 +198,15 @@ def write_sidecar(
     did.
     """
     device_idx: Dict[str, int] = {}
-    dev_stats: List[List[int]] = []  # [n_rows, first_row, last_row]
-    for ref in refs:
-        i = device_idx.get(ref.device_id)
-        if i is None:
-            device_idx[ref.device_id] = len(dev_stats)
-            dev_stats.append([0, 0xFFFFFFFF, 0])
+    postings: List[List[int]] = []  # per device, its row ordinals
+    for row, ref in enumerate(refs):
+        i = device_idx.setdefault(ref.device_id, len(postings))
+        if i == len(postings):
+            postings.append([])
+        postings[i].append(row)
     for _, device_id in tombstones:
-        if device_id not in device_idx:
-            device_idx[device_id] = len(dev_stats)
-            dev_stats.append([0, 0xFFFFFFFF, 0])
+        if device_idx.setdefault(device_id, len(postings)) == len(postings):
+            postings.append([])
 
     n_rows = len(refs)
     # Segment envelope + max finite ε + zone masks, one pass.
@@ -210,12 +217,7 @@ def write_sidecar(
     zones_north = 0
     zones_south = 0
     has_unstamped = 0
-    for row, ref in enumerate(refs):
-        stats = dev_stats[device_idx[ref.device_id]]
-        stats[0] += 1
-        if stats[1] == 0xFFFFFFFF:
-            stats[1] = row
-        stats[2] = row
+    for ref in refs:
         if ref.t_min < t0:
             t0 = ref.t_min
         if ref.t_max > t1:
@@ -239,18 +241,16 @@ def write_sidecar(
         else:
             zones_north |= 1 << (ref.utm_zone - 1)
 
-    # Grid bounds: the envelope expanded by the segment's max ε, so every
-    # row's ε-expanded box lies inside the grid.
-    gx0, gx1 = x0 - max_eps, x1 + max_eps
-    gy0, gy1 = y0 - max_eps, y1 + max_eps
-    cells = [(math.inf, -math.inf)] * (grid_nx * grid_ny)
-
+    # Envelope centres map onto a 65536 x 65536 lattice over the segment
+    # envelope; a degenerate or non-finite axis collapses to cell 0.
+    sx = 65535.0 / (x1 - x0) if 0.0 < x1 - x0 < math.inf else 0.0
+    sy = 65535.0 / (y1 - y0) if 0.0 < y1 - y0 < math.inf else 0.0
+    spread = _SPREAD
     rows = bytearray()
-    blocks = bytearray()
-    b_t0 = b_x0 = b_y0 = math.inf
-    b_t1 = b_x1 = b_y1 = -math.inf
-    b_eps = 0.0
-    for row, ref in enumerate(refs):
+    cells = []  # per row: its frame, then the Z-order cell of its centre
+    for ref in refs:
+        zone = ref.utm_zone or 0
+        south = 1 if ref.utm_south else 0
         rows += _ROW.pack(
             ref.t_min,
             ref.t_max,
@@ -263,62 +263,74 @@ def write_sidecar(
             ref.n_key_points,
             ref.offset,
             ref.length,
-            ref.utm_zone or 0,
-            1 if ref.utm_south else 0,
+            zone,
+            south,
         )
-        e = _finite_eps(ref.epsilon)
-        ex0, ex1 = ref.x_min - e, ref.x_max + e
-        ey0, ey1 = ref.y_min - e, ref.y_max + e
-        for iy in _cell_span(ey0, ey1, gy0, gy1, grid_ny):
-            base = iy * grid_nx
-            for ix in _cell_span(ex0, ex1, gx0, gx1, grid_nx):
-                c0, c1 = cells[base + ix]
-                cells[base + ix] = (
-                    ref.t_min if ref.t_min < c0 else c0,
-                    ref.t_max if ref.t_max > c1 else c1,
-                )
-        if ref.t_min < b_t0:
-            b_t0 = ref.t_min
-        if ref.t_max > b_t1:
-            b_t1 = ref.t_max
-        if ex0 < b_x0:
-            b_x0 = ex0
-        if ex1 > b_x1:
-            b_x1 = ex1
-        if ey0 < b_y0:
-            b_y0 = ey0
-        if ey1 > b_y1:
-            b_y1 = ey1
-        if e > b_eps:
-            b_eps = e
-        if (row + 1) % block_rows == 0 or row + 1 == n_rows:
-            # Block envelopes are stored pre-expanded (per-row ε already
-            # applied), so the block prune needs no further expansion.
-            blocks += _BLOCK.pack(b_t0, b_t1, b_x0, b_x1, b_y0, b_y1, b_eps)
-            b_t0 = b_x0 = b_y0 = math.inf
-            b_t1 = b_x1 = b_y1 = -math.inf
-            b_eps = 0.0
+        cx = ((ref.x_min + ref.x_max) * 0.5 - x0) * sx
+        cy = ((ref.y_min + ref.y_max) * 0.5 - y0) * sy
+        ix = int(cx) if 0.0 <= cx < 65536.0 else 0
+        iy = int(cy) if 0.0 <= cy < 65536.0 else 0
+        cells.append(
+            (zone << 1 | south) << 32
+            | spread[ix & 255] | spread[ix >> 8] << 16
+            | (spread[iy & 255] | spread[iy >> 8] << 16) << 1
+        )
+
+    tblocks = bytearray()
+    for lo in range(0, n_rows, block_rows):
+        run = refs[lo : lo + block_rows]
+        tblocks += _TBLOCK.pack(
+            min(ref.t_min for ref in run), max(ref.t_max for ref in run)
+        )
+
+    # Two stable sorts give (frame, cell, t_min, row) without a key tuple
+    # per row.
+    order = sorted(range(n_rows), key=[ref.t_min for ref in refs].__getitem__)
+    order.sort(key=cells.__getitem__)
+    sblocks = bytearray()
+    for lo in range(0, n_rows, SORT_ROWS):
+        run = [refs[row] for row in order[lo : lo + SORT_ROWS]]
+        # Stored pre-expanded (per-row ε already applied), so the block
+        # prune needs no further expansion.
+        eps = [_finite_eps(ref.epsilon) for ref in run]
+        frame = cells[order[lo]] >> 32
+        pure = frame == cells[order[lo + len(run) - 1]] >> 32
+        sblocks += _SBLOCK.pack(
+            min(ref.t_min for ref in run),
+            max(ref.t_max for ref in run),
+            min(ref.x_min - e for ref, e in zip(run, eps)),
+            max(ref.x_max + e for ref, e in zip(run, eps)),
+            min(ref.y_min - e for ref, e in zip(run, eps)),
+            max(ref.y_max + e for ref, e in zip(run, eps)),
+            frame >> 1 if pure else _MIXED,
+            frame & 1,
+        )
 
     dev_table = bytearray()
-    for device_id, i in device_idx.items():
+    for device_id, rows_of in zip(device_idx, postings):
         encoded = device_id.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise SidecarError(f"device id too long for sidecar: {device_id!r}")
-        n, first, last = dev_stats[i]
         dev_table += struct.pack("<H", len(encoded))
         dev_table += encoded
-        dev_table += struct.pack("<III", n, first, last)
+        if rows_of:
+            dev_table += struct.pack("<III", len(rows_of), rows_of[0], rows_of[-1])
+        else:
+            dev_table += struct.pack("<III", 0, 0xFFFFFFFF, 0)
 
     tomb_region = bytearray()
     for marker, device_id in tombstones:
         tomb_region += _TOMB.pack(marker, device_idx[device_id])
 
-    grid_region = bytearray()
-    for c0, c1 in cells:
-        grid_region += _CELL.pack(c0, c1)
-
-    meta = bytes(dev_table) + bytes(tomb_region) + bytes(grid_region) + bytes(
-        blocks
+    posting = [row for rows_of in postings for row in rows_of]
+    meta = b"".join(
+        (
+            struct.pack(f"<{2 * n_rows}I", *posting, *order),
+            dev_table,
+            tomb_region,
+            sblocks,
+            tblocks,
+        )
     )
     rows_b = bytes(rows)
     footer_head = _FOOTER.pack(
@@ -326,12 +338,11 @@ def write_sidecar(
         _VERSION,
         0,
         n_rows,
-        len(dev_stats),
+        len(postings),
         len(tombstones),
         len(dev_table),
         block_rows,
-        grid_nx,
-        grid_ny,
+        SORT_ROWS,
         segment_size,
         damaged,
         log_crc & 0xFFFFFFFF,
@@ -419,8 +430,14 @@ class SegmentIndex:
         self.segment_size = 0
         self.has_unstamped = False
         self.tombstones: List[Tuple[int, str]] = []
+        #: Rows unpacked and block envelopes tested so far (what a query
+        #: cost, counted rather than timed).
+        self.rows_examined = 0
+        self.blocks_examined = 0
         self._devices: List[str] = []
-        self._dev_stats: List[Tuple[int, int, int]] = []
+        self._summary: Dict[str, Tuple[int, int, int]] = {}
+        self._post: Dict[str, Tuple[int, int]] = {}  # posting slice bounds
+        self._zones: Set[Tuple[int, bool]] = set()
         self._mm = None
         self._file = None
         self._rows_off = len(_HEADER)
@@ -428,19 +445,17 @@ class SegmentIndex:
         self._rows_verified = False
         self._envelope: Tuple[float, ...] | None = None
         self._max_eps = 0.0
-        self._grid: Tuple[int, int, int] = (0, GRID_NX, GRID_NY)  # off, nx, ny
-        self._block_off = 0
+        self._posting: memoryview | None = None
+        self._order: memoryview | None = None
+        self._sblocks: memoryview | None = None
+        self._tblocks: memoryview | None = None
         self._block_rows = BLOCK_ROWS
-        self._n_blocks = 0
-        self._zones_north = 0
-        self._zones_south = 0
+        self._sort_rows = SORT_ROWS
 
     @classmethod
     def open(
         cls, path: str | os.PathLike, *, segment_name: str, expected_size: int
     ) -> "SegmentIndex":
-        import mmap
-
         self = cls()
         self.name = segment_name
         file = open(path, "rb")
@@ -474,22 +489,23 @@ class SegmentIndex:
         if zlib.crc32(view[foot_off : size - 4]) != stored_crc:
             raise SidecarError(f"{path}: footer CRC mismatch")
         (magic, version, _flags, n_rows, n_devices, n_tombstones, dev_bytes,
-         block_rows, grid_nx, grid_ny, segment_size, damaged, log_crc,
-         head_crc, total_keys, t0, t1, x0, x1, y0, y1, max_eps, zones_north,
+         block_rows, sort_rows, segment_size, damaged, log_crc, head_crc,
+         total_keys, t0, t1, x0, x1, y0, y1, max_eps, zones_north,
          zones_south, has_unstamped, rows_crc, meta_crc, _stored,
          ) = _FOOTER.unpack_from(mm, foot_off)
         if magic != _FOOTER_MAGIC:
             raise SidecarError(f"{path}: bad footer magic")
         if version != _VERSION:
             raise SidecarError(f"{path}: unsupported sidecar version {version}")
-        if block_rows < 1 or grid_nx < 1 or grid_ny < 1:
+        if block_rows < 1 or sort_rows < 1:
             raise SidecarError(f"{path}: corrupt footer geometry")
         rows_end = self._rows_off + n_rows * _ROW.size
-        tomb_off = rows_end + dev_bytes
-        grid_off = tomb_off + n_tombstones * _TOMB.size
-        block_off = grid_off + grid_nx * grid_ny * _CELL.size
-        n_blocks = (n_rows + block_rows - 1) // block_rows
-        if block_off + n_blocks * _BLOCK.size + _FOOTER.size != size:
+        order_off = rows_end + 4 * n_rows
+        dev_off = order_off + 4 * n_rows
+        tomb_off = dev_off + dev_bytes
+        sblock_off = tomb_off + n_tombstones * _TOMB.size
+        tblock_off = sblock_off + -(-n_rows // sort_rows) * _SBLOCK.size
+        if tblock_off + -(-n_rows // block_rows) * _TBLOCK.size != foot_off:
             raise SidecarError(f"{path}: region sizes do not add up")
         if segment_size != expected_size:
             raise SidecarError(
@@ -498,10 +514,13 @@ class SegmentIndex:
             )
         if zlib.crc32(view[rows_end:foot_off]) != meta_crc:
             raise SidecarError(f"{path}: metadata CRC mismatch")
-        # Device table.
-        pos = rows_end
+        # Device table; a device's postings start where the previous
+        # device's end.
+        pos = dev_off
         devices: List[str] = []
-        stats: List[Tuple[int, int, int]] = []
+        summary: Dict[str, Tuple[int, int, int]] = {}
+        post: Dict[str, Tuple[int, int]] = {}
+        posted = 0
         for _ in range(n_devices):
             (id_len,) = struct.unpack_from("<H", mm, pos)
             pos += 2
@@ -510,18 +529,22 @@ class SegmentIndex:
             except UnicodeDecodeError as exc:
                 raise SidecarError(f"{path}: bad device id") from exc
             pos += id_len
-            stats.append(struct.unpack_from("<III", mm, pos))
+            n, first, last = struct.unpack_from("<III", mm, pos)
             pos += 12
+            if n and (first >= n_rows or last >= n_rows or first > last):
+                raise SidecarError(f"{path}: device summary out of range")
+            summary[devices[-1]] = (n, first, last)
+            post[devices[-1]] = (posted, posted + n)
+            posted += n
         if pos != tomb_off:
             raise SidecarError(f"{path}: device table overruns its region")
+        if posted != n_rows:
+            raise SidecarError(f"{path}: postings do not cover the rows")
         tombs: List[Tuple[int, str]] = []
-        for marker, dev in _TOMB.iter_unpack(view[tomb_off:grid_off]):
+        for marker, dev in _TOMB.iter_unpack(view[tomb_off:sblock_off]):
             if dev >= n_devices or marker > n_rows:
                 raise SidecarError(f"{path}: tombstone out of range")
             tombs.append((marker, devices[dev]))
-        for n, first, last in stats:
-            if n and (first >= n_rows or last >= n_rows or first > last):
-                raise SidecarError(f"{path}: device summary out of range")
         self.n_rows = n_rows
         self.total_key_points = total_keys
         self.damaged = damaged
@@ -531,23 +554,32 @@ class SegmentIndex:
         self.has_unstamped = bool(has_unstamped)
         self.tombstones = tombs
         self._devices = devices
-        self._dev_stats = stats
+        self._summary = summary
+        self._post = post
+        self._zones = {
+            (z + 1, south)
+            for south, mask in ((False, zones_north), (True, zones_south))
+            for z in range(60)
+            if mask >> z & 1
+        }
         self._rows_crc = rows_crc
         self._envelope = (
             (t0, t1, x0, x1, y0, y1, max_eps) if n_rows else None
         )
         self._max_eps = max_eps
-        self._grid = (grid_off, grid_nx, grid_ny)
-        self._block_off = block_off
+        self._posting = view[rows_end:order_off].cast("I")
+        self._order = view[order_off:dev_off].cast("I")
+        self._sblocks = view[sblock_off:tblock_off]
+        self._tblocks = view[tblock_off:foot_off]
         self._block_rows = block_rows
-        self._n_blocks = n_blocks
-        self._zones_north = zones_north
-        self._zones_south = zones_south
+        self._sort_rows = sort_rows
 
     # -- integrity -----------------------------------------------------------
 
     def verify_rows(self) -> None:
-        """One-time CRC pass over the row region (cheap; done lazily)."""
+        """One-time CRC pass over the row region, and the range check of
+        the order and posting entries that point into it (cheap; done
+        lazily)."""
         if self._rows_verified or self.n_rows == 0:
             self._rows_verified = True
             return
@@ -555,6 +587,8 @@ class SegmentIndex:
         end = self._rows_off + self.n_rows * _ROW.size
         if zlib.crc32(view[self._rows_off : end]) != self._rows_crc:
             raise SidecarError(f"{self.name}: sidecar row region CRC mismatch")
+        if max(max(self._order), max(self._posting)) >= self.n_rows:
+            raise SidecarError(f"{self.name}: sidecar row ordinal out of range")
         self._rows_verified = True
 
     # -- summaries -----------------------------------------------------------
@@ -562,32 +596,33 @@ class SegmentIndex:
     def device_summary(self) -> Dict[str, Tuple[int, int, int]]:
         """``device_id -> (n_rows, first_row, last_row)`` (0 rows for
         devices present only as tombstones)."""
-        return dict(zip(self._devices, self._dev_stats))
+        return self._summary
 
     def envelope(self) -> Tuple[float, ...] | None:
         """``(t_min, t_max, x_min, x_max, y_min, y_max, max_eps)`` over
         every row, or ``None`` for an empty segment."""
         return self._envelope
 
-    def stamped_zones(self) -> set:
-        zones = set()
-        for z in range(60):
-            if self._zones_north >> z & 1:
-                zones.add((z + 1, False))
-            if self._zones_south >> z & 1:
-                zones.add((z + 1, True))
-        return zones
+    def stamped_zones(self) -> Set[Tuple[int, bool]]:
+        return self._zones
 
     # -- row access ----------------------------------------------------------
 
     def ref(self, row: int) -> RecordRef:
         if not 0 <= row < self.n_rows:
             raise IndexError(row)
+        self.rows_examined += 1
         return _row_to_ref(
             self.name,
             self._devices,
             _ROW.unpack_from(self._mm, self._rows_off + row * _ROW.size),
         )
+
+    def device_rows(self, device_id: str) -> Sequence[int]:
+        """One device's row ordinals, ascending: its slice of the posting
+        region."""
+        start, end = self._post.get(device_id, (0, 0))
+        return self._posting[start:end]
 
     def iter_refs(
         self, lo: int = 0, hi: int | None = None
@@ -596,6 +631,7 @@ class SegmentIndex:
             hi = self.n_rows
         if lo >= hi:
             return
+        self.rows_examined += hi - lo
         view = memoryview(self._mm)
         start = self._rows_off + lo * _ROW.size
         end = self._rows_off + hi * _ROW.size
@@ -605,33 +641,6 @@ class SegmentIndex:
         for fields in _ROW.iter_unpack(view[start:end]):
             yield row, _row_to_ref(name, devices, fields)
             row += 1
-
-    def _grid_passes(
-        self,
-        rect: Tuple[float, float, float, float],
-        t0: float | None,
-        t1: float | None,
-    ) -> bool:
-        """Conservative: False only if no marked cell can hold a match."""
-        env = self._envelope
-        grid_off, nx, ny = self._grid
-        gx0, gx1 = env[2] - self._max_eps, env[3] + self._max_eps
-        gy0, gy1 = env[4] - self._max_eps, env[5] + self._max_eps
-        qx0, qy0, qx1, qy1 = rect
-        if qx0 > gx1 or qx1 < gx0 or qy0 > gy1 or qy1 < gy0:
-            return False
-        mm = self._mm
-        windowed = t0 is not None
-        for iy in _cell_span(qy0, qy1, gy0, gy1, ny):
-            base = grid_off + iy * nx * _CELL.size
-            for ix in _cell_span(qx0, qx1, gx0, gx1, nx):
-                c0, c1 = _CELL.unpack_from(mm, base + ix * _CELL.size)
-                if c0 > c1:
-                    continue  # unmarked cell
-                if windowed and not (c0 <= t1 and c1 >= t0):
-                    continue
-                return True
-        return False
 
     def iter_candidates(
         self,
@@ -645,8 +654,8 @@ class SegmentIndex:
 
         The per-row test is exactly the legacy query screen (time-span
         overlap, then the ε-expanded bounding-box test with non-finite ε
-        expanding nothing), preceded by segment/grid/block pruning that
-        can only skip provably-empty row ranges.
+        expanding nothing), preceded by segment and block pruning that
+        can only skip provably-empty runs of rows.
         """
         if self.n_rows == 0:
             return
@@ -654,7 +663,33 @@ class SegmentIndex:
         windowed = t0 is not None
         if windowed and not (env[0] <= t1 and env[1] >= t0):
             return
-        if rect is not None:
+        sf = 1 if south else 0
+        mm = self._mm
+        base = self._rows_off
+        if rect is None:
+            # Time blocks, append order: contiguous runs of rows.
+            size = self._block_rows
+            spans = [
+                (lo, min(lo + size, self.n_rows))
+                for lo, (b_t0, b_t1) in zip(
+                    range(0, self.n_rows, size),
+                    _TBLOCK.iter_unpack(self._tblocks),
+                )
+                if not windowed or (b_t0 <= t1 and b_t1 >= t0)
+            ]
+            self.blocks_examined += len(self._tblocks) // _TBLOCK.size
+            self.rows_examined += sum(hi - lo for lo, hi in spans)
+            view = memoryview(mm)
+            numbered: Iterator[Tuple[int, tuple]] = chain.from_iterable(
+                zip(
+                    range(lo, hi),
+                    _ROW.iter_unpack(
+                        view[base + lo * _ROW.size : base + hi * _ROW.size]
+                    ),
+                )
+                for lo, hi in spans
+            )
+        else:
             qx0, qy0, qx1, qy1 = rect
             if (
                 env[2] - self._max_eps > qx1
@@ -663,53 +698,54 @@ class SegmentIndex:
                 or env[5] + self._max_eps < qy0
             ):
                 return
-            if not self._grid_passes(rect, t0, t1):
-                return
-        zf = zone if zone is not None else None
-        sf = 1 if south else 0
-        view = memoryview(self._mm)
-        mm = self._mm
+            # Sorted blocks, space order: gather the surviving runs' row
+            # ordinals, then visit them ascending — append order again.
+            size = self._sort_rows
+            order = self._order
+            rows: List[int] = []
+            for lo, (b_t0, b_t1, b_x0, b_x1, b_y0, b_y1, b_zone, b_south) in zip(
+                range(0, self.n_rows, size), _SBLOCK.iter_unpack(self._sblocks)
+            ):
+                if b_x0 > qx1 or b_x1 < qx0 or b_y0 > qy1 or b_y1 < qy0:
+                    continue
+                if windowed and not (b_t0 <= t1 and b_t1 >= t0):
+                    continue
+                if (
+                    zone is not None
+                    and b_zone != _MIXED
+                    and (b_zone != zone or b_south != sf)
+                ):
+                    continue
+                rows += order[lo : lo + size]
+            rows.sort()
+            self.blocks_examined += len(self._sblocks) // _SBLOCK.size
+            self.rows_examined += len(rows)
+            numbered = (
+                (row, _ROW.unpack_from(mm, base + row * _ROW.size))
+                for row in rows
+            )
         name = self.name
         devices = self._devices
-        block_rows = self._block_rows
-        for b in range(self._n_blocks):
-            (b_t0, b_t1, b_x0, b_x1, b_y0, b_y1, _b_eps) = _BLOCK.unpack_from(
-                mm, self._block_off + b * _BLOCK.size
-            )
-            if windowed and not (b_t0 <= t1 and b_t1 >= t0):
+        for row, fields in numbered:
+            if windowed and not (fields[0] <= t1 and fields[1] >= t0):
                 continue
-            if rect is not None and (
-                b_x0 > qx1 or b_x1 < qx0 or b_y0 > qy1 or b_y1 < qy0
-            ):
+            (_t0, _t1, r_x0, r_x1, r_y0, r_y1, eps,
+             _dev, _nk, _off, _len, r_zone, r_south) = fields
+            if zone is not None and (r_zone != zone or r_south != sf):
                 continue
-            lo = b * block_rows
-            hi = min(lo + block_rows, self.n_rows)
-            start = self._rows_off + lo * _ROW.size
-            end = self._rows_off + hi * _ROW.size
-            row = lo
-            for fields in _ROW.iter_unpack(view[start:end]):
-                (r_t0, r_t1, r_x0, r_x1, r_y0, r_y1, eps,
-                 _dev, _nk, _off, _len, r_zone, r_south) = fields
-                if windowed and not (r_t0 <= t1 and r_t1 >= t0):
-                    row += 1
+            if rect is not None:
+                e = eps if math.isfinite(eps) else 0.0
+                if (
+                    r_x0 - e > qx1
+                    or r_x1 + e < qx0
+                    or r_y0 - e > qy1
+                    or r_y1 + e < qy0
+                ):
                     continue
-                if zf is not None and (r_zone != zf or r_south != sf):
-                    row += 1
-                    continue
-                if rect is not None:
-                    e = eps if math.isfinite(eps) else 0.0
-                    if (
-                        r_x0 - e > qx1
-                        or r_x1 + e < qx0
-                        or r_y0 - e > qy1
-                        or r_y1 + e < qy0
-                    ):
-                        row += 1
-                        continue
-                yield row, _row_to_ref(name, devices, fields)
-                row += 1
+            yield row, _row_to_ref(name, devices, fields)
 
     def close(self) -> None:
+        self._posting = self._order = self._sblocks = self._tblocks = None
         if self._mm is not None:
             try:
                 self._mm.close()
@@ -740,6 +776,8 @@ class ScannedSegment:
         self.refs: List[RecordRef] = []
         self.tombstones: List[Tuple[int, str]] = []
         self.damaged = 0
+        self.rows_examined = 0
+        self.blocks_examined = 0  # a scan has no blocks to test
 
     @property
     def n_rows(self) -> int:
@@ -803,6 +841,14 @@ class ScannedSegment:
     def ref(self, row: int) -> RecordRef:
         return self.refs[row]
 
+    def device_rows(self, device_id: str) -> Sequence[int]:
+        self.rows_examined += len(self.refs)
+        return [
+            row
+            for row, ref in enumerate(self.refs)
+            if ref.device_id == device_id
+        ]
+
     def iter_refs(
         self, lo: int = 0, hi: int | None = None
     ) -> Iterator[Tuple[int, RecordRef]]:
@@ -822,6 +868,7 @@ class ScannedSegment:
         windowed = t0 is not None
         if rect is not None:
             qx0, qy0, qx1, qy1 = rect
+        self.rows_examined += len(self.refs)
         for row, ref in enumerate(self.refs):
             if windowed and not (ref.t_min <= t1 and ref.t_max >= t0):
                 continue

@@ -200,7 +200,7 @@ def range_query(
     matches: List[QueryMatch] = []
     # The store's candidate iterator runs the exact envelope screen the
     # loop below used to (time overlap, then the ε-expanded bbox test)
-    # over the mmap'd index rows with grid pruning, so only candidates
+    # over the mmap'd index rows with block pruning, so only candidates
     # ever materialize a RecordRef.
     for ref in store.candidates(rect=rect, t0=t0, t1=t1):
         eps = ref.epsilon if math.isfinite(ref.epsilon) else 0.0
@@ -379,8 +379,8 @@ def _geo_collect(
 
     Candidate selection runs once per distinct ``(zone, hemisphere)``
     stamped in the store, with the lobe projected conservatively into
-    that frame and the store's zone filter keeping the grid-pruned scan
-    sound (a cell may mix zones; the per-row zone test may not).  The
+    that frame and the store's zone filter keeping the block-pruned scan
+    sound (a block may mix zones; the per-row zone test may not).  The
     returned matches are grouped by frame, not in append order — the
     caller restores global order.
     """

@@ -19,13 +19,14 @@ under one directory, with the durability story of a write-ahead log:
   instead of wandering into reaped segments.
 * **Persistent index sidecars.**  Sealing a segment writes a packed
   ``.idx`` sidecar (:mod:`repro.storage.index`) holding every record
-  envelope plus grid/block pruning summaries.  Opening the store reads
-  only ``manifest.json`` and the sidecar footers — O(segments), not
-  O(records) — and serves :meth:`records` / :meth:`candidates` through
-  zero-copy ``mmap`` views.  The legacy envelope scan remains the
-  fallback for the unsealed tail and for any segment whose sidecar is
-  missing or fails validation (the sidecar is regenerated after a
-  successful scan, and by :meth:`compact` / :meth:`reindex`).
+  envelope, a space-ordered block table and per-device posting lists.
+  Opening the store reads only ``manifest.json`` and the sidecar
+  footers — O(segments), not O(records) — and serves :meth:`records` /
+  :meth:`candidates` through zero-copy ``mmap`` views.  The legacy
+  envelope scan remains the fallback for the unsealed tail and for any
+  segment whose sidecar is missing or fails validation (the sidecar is
+  regenerated after a successful scan, and by :meth:`compact` /
+  :meth:`reindex`).
 * **Deletes and compaction.**  :meth:`delete_device` appends a tombstone
   record; the device's earlier records drop from the index immediately
   and from disk at the next :meth:`compact`, which rewrites live records
@@ -43,6 +44,7 @@ import json
 import os
 import struct
 import zlib
+from bisect import bisect_left
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -459,6 +461,9 @@ class TrajectoryStore:
             "scanned_segments": len(self._views) - sidecar_segments,
             "rows": sum(v.n_rows for v in self._views),
             "sidecar_rows": sidecar_rows,
+            # What the queries so far cost, counted rather than timed.
+            "rows_examined": sum(v.rows_examined for v in self._views),
+            "blocks_examined": sum(v.blocks_examined for v in self._views),
         }
 
     # -- writing -------------------------------------------------------------
@@ -760,7 +765,7 @@ class TrajectoryStore:
         This is the query layer's candidate source: the per-row test (time
         overlap, then the ε-expanded bounding-box test) is identical to
         screening ``records()`` by hand, but runs over the mmap'd sidecar
-        rows with segment/grid/block pruning, so it materializes a
+        rows with segment and block pruning, so it materializes a
         :class:`RecordRef` only per *candidate*, not per record.
         """
         tomb = self._max_tomb
@@ -787,16 +792,12 @@ class TrajectoryStore:
             summary = self._views[si].device_summary().get(device_id)
             if summary is None or summary[0] == 0:
                 continue
-            first, last = summary[1], summary[2]
-            if pos is not None and (si, last) < pos:
+            if pos is not None and (si, summary[2]) < pos:
                 continue  # every row of this device here predates the tomb
             view = self._checked_view(si)
-            for row, ref in view.iter_refs(first, last + 1):
-                if ref.device_id != device_id:
-                    continue
-                if pos is not None and (si, row) < pos:
-                    continue
-                out.append(ref)
+            for row in view.device_rows(device_id):
+                if pos is None or (si, row) >= pos:
+                    out.append(view.ref(row))
         return out
 
     def devices(self) -> List[str]:
@@ -852,12 +853,8 @@ class TrajectoryStore:
                 if si < tsi or marker > last:
                     dead += n
                 elif marker > first:
-                    view = self._checked_view(si)
-                    dead += sum(
-                        1
-                        for _, ref in view.iter_refs(first, marker)
-                        if ref.device_id == device_id
-                    )
+                    rows = self._checked_view(si).device_rows(device_id)
+                    dead += bisect_left(rows, marker)
         return dead
 
     @property

@@ -32,7 +32,8 @@ from repro.storage import (
     time_window_query,
 )
 from repro.storage.codec import _read_uvarint
-from repro.storage.index import sidecar_path
+from repro.storage import index as index_mod
+from repro.storage.index import SegmentIndex, SidecarError, sidecar_path
 from repro.storage.__main__ import main as storage_main
 
 EPSILON = 10.0
@@ -105,6 +106,37 @@ def _answers(store):
 def _scan_answers(path):
     with TrajectoryStore(path, index_sidecars=False) as scan:
         return _answers(scan)
+
+
+def _regions(data):
+    """Byte ranges of the regions sidecar version 2 added, from the
+    footer of a pristine sidecar."""
+    footer = index_mod._FOOTER.unpack_from(data, len(data) - index_mod._FOOTER.size)
+    n_rows, block_rows, sort_rows = footer[3], footer[7], footer[8]
+    rows_end = len(index_mod._HEADER) + n_rows * index_mod._ROW.size
+    tblock_off = (
+        len(data)
+        - index_mod._FOOTER.size
+        - -(-n_rows // block_rows) * index_mod._TBLOCK.size
+    )
+    sblock_off = tblock_off - -(-n_rows // sort_rows) * index_mod._SBLOCK.size
+    return {
+        "posting": (rows_end, rows_end + 4 * n_rows),
+        "order": (rows_end + 4 * n_rows, rows_end + 8 * n_rows),
+        "sorted blocks": (sblock_off, tblock_off),
+    }
+
+
+def _resealed(data):
+    """``data`` with its metadata and footer CRCs recomputed: damage the
+    CRCs cannot see (a writer bug, not bit rot)."""
+    data = bytearray(data)
+    foot_off = len(data) - index_mod._FOOTER.size
+    n_rows = index_mod._FOOTER.unpack_from(data, foot_off)[3]
+    rows_end = len(index_mod._HEADER) + n_rows * index_mod._ROW.size
+    struct.pack_into("<I", data, len(data) - 8, zlib.crc32(data[rows_end:foot_off]))
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[foot_off:-4]))
+    return bytes(data)
 
 
 class TestSidecarCorruption:
@@ -182,7 +214,8 @@ class TestSidecarCorruption:
 
     def test_random_corruption_fuzz(self, tmp_path):
         """Arbitrary mutations — truncations, bit flips, zeroed ranges —
-        anywhere in any sidecar never escape as a wrong answer."""
+        anywhere in any sidecar, and bit flips aimed at the posting, order
+        and sorted-block regions, never escape as a wrong answer."""
         path = tmp_path / "s"
         segments = _build_plain(path)
         expected = _scan_answers(path)
@@ -190,15 +223,19 @@ class TestSidecarCorruption:
             name: sidecar_path(path, name).read_bytes() for name in segments
         }
         rng = random.Random(20260807)
-        for case in range(24):
+        for case in range(36):
             name = segments[rng.randrange(len(segments))]
             idx = sidecar_path(path, name)
             data = bytearray(pristine[name])
-            kind = case % 3
+            kind = case % 4
             if kind == 0:
                 data = data[: rng.randrange(len(data))]
             elif kind == 1:
                 data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            elif kind == 2:
+                regions = list(_regions(pristine[name]).values())
+                start, end = regions[case // 4 % len(regions)]
+                data[rng.randrange(start, end)] ^= 1 << rng.randrange(8)
             else:
                 start = rng.randrange(len(data))
                 end = min(len(data), start + rng.randrange(1, 256))
@@ -209,6 +246,79 @@ class TestSidecarCorruption:
             # The open (or close) regenerated it; restore the original
             # bytes anyway so every case mutates the same baseline.
             idx.write_bytes(pristine[name])
+
+    def test_out_of_range_row_ordinal_is_a_sidecar_error(self, tmp_path):
+        """An order or posting entry pointing past the row region — with
+        every CRC valid — raises ``SidecarError`` before a row is served,
+        never ``IndexError`` and never a wrong answer."""
+        path = tmp_path / "s"
+        segments = _build_plain(path)
+        expected = _scan_answers(path)
+        idx = sidecar_path(path, segments[0])
+        pristine = idx.read_bytes()
+        size = (path / segments[0]).stat().st_size
+        for region in ("posting", "order"):
+            data = bytearray(pristine)
+            start, _ = _regions(pristine)[region]
+            struct.pack_into("<I", data, start + 8, 0x7FFFFFFF)
+            idx.write_bytes(_resealed(data))
+            view = SegmentIndex.open(
+                idx, segment_name=segments[0], expected_size=size
+            )
+            try:
+                with pytest.raises(SidecarError, match="out of range"):
+                    view.verify_rows()
+            finally:
+                view.close()
+            with TrajectoryStore(path) as store:
+                assert _answers(store) == expected, region
+            idx.write_bytes(pristine)
+
+    def test_postings_must_cover_the_rows(self, tmp_path):
+        path = tmp_path / "s"
+        segments = _build_plain(path)
+        idx = sidecar_path(path, segments[0])
+        data = bytearray(idx.read_bytes())
+        # The first device's row count lives right behind its id.
+        dev_off = _regions(bytes(data))["order"][1]
+        (id_len,) = struct.unpack_from("<H", data, dev_off)
+        count_off = dev_off + 2 + id_len
+        (count,) = struct.unpack_from("<I", data, count_off)
+        struct.pack_into("<I", data, count_off, count - 1)
+        idx.write_bytes(_resealed(data))
+        with pytest.raises(SidecarError, match="postings"):
+            SegmentIndex.open(
+                idx,
+                segment_name=segments[0],
+                expected_size=(path / segments[0]).stat().st_size,
+            )
+
+    def test_version_1_sidecar_is_rescanned_once_then_served(
+        self, tmp_path, monkeypatch
+    ):
+        """A store sealed by the previous sidecar version reopens with the
+        same answers off the scan, rewrites its sidecars, and is served
+        from them on the next open — the upgrade needs no command."""
+        path = tmp_path / "s"
+        monkeypatch.setattr(index_mod, "_VERSION", 1)
+        segments = _build_plain(path)
+        monkeypatch.undo()
+        expected = _scan_answers(path)
+        size = (path / segments[0]).stat().st_size
+        with pytest.raises(SidecarError, match="version 1"):
+            SegmentIndex.open(
+                sidecar_path(path, segments[0]),
+                segment_name=segments[0],
+                expected_size=size,
+            )
+        with TrajectoryStore(path) as store:
+            assert store.index_report()["scanned_segments"] == len(segments)
+            assert _answers(store) == expected
+        with TrajectoryStore(path) as store:
+            report = store.index_report()
+            assert report["scanned_segments"] == 0
+            assert report["sidecar_rows"] == report["rows"]
+            assert _answers(store) == expected
 
     def test_tombstones_survive_the_sidecar_round_trip(self, tmp_path):
         path = tmp_path / "s"
@@ -431,6 +541,154 @@ class TestMmapScanParity:
                 assert list(
                     fast.candidates(rect=rect, t0=t0, t1=t1)
                 ) == list(scan.candidates(rect=rect, t0=t0, t1=t1)), rect
+
+
+_FRAMES = (
+    None,
+    UTMProjection(32),
+    UTMProjection(33),
+    UTMProjection(32, south=True),
+    UTMProjection(33, south=True),
+)
+
+
+def _random_store(path, rng, n, segment_max_bytes):
+    """``n`` records off nine interleaved devices: five frames (both
+    hemispheres, unstamped), finite and infinite ε, repeated envelopes,
+    random times, and a tombstone a third of the way in."""
+    tracks = [
+        _track(rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0), n=rng.randrange(2, 9))
+        for _ in range(max(1, n // 3))  # fewer tracks than records: repeats
+    ]
+    with TrajectoryStore(path, segment_max_bytes=segment_max_bytes) as store:
+        for i in range(n):
+            dt = rng.uniform(0.0, 5000.0)
+            points = [
+                PlanePoint(p.x, p.y, p.t + dt) for p in rng.choice(tracks)
+            ]
+            store.append(
+                f"dev-{rng.randrange(9)}",
+                _trajectory(
+                    points,
+                    epsilon=rng.choice((EPSILON, 0.5, math.inf)),
+                    frame=rng.choice(_FRAMES),
+                ),
+            )
+            if i == n // 3:
+                store.delete_device("dev-2")
+        if n == 0:
+            store.delete_device("dev-2")  # a segment with a tombstone, no row
+
+
+def _random_questions(rng):
+    questions = [{}]
+    for _ in range(12):
+        cx, cy = rng.uniform(-200.0, 5200.0), rng.uniform(-200.0, 5200.0)
+        w, h = rng.choice((5.0, 300.0, 4000.0)), rng.choice((5.0, 300.0, 4000.0))
+        t0 = rng.uniform(-100.0, 5500.0)
+        rect = (cx - w, cy - h, cx + w, cy + h)
+        window = {"t0": t0, "t1": t0 + rng.choice((1.0, 400.0, 6000.0))}
+        frame = rng.choice(_FRAMES[1:])
+        zone = {"zone": frame.zone, "south": frame.south}
+        questions += [
+            {"rect": rect},
+            window,
+            {"rect": rect, **window},
+            {"rect": rect, **zone},
+            {"rect": rect, **window, **zone},
+            zone,
+        ]
+    return questions
+
+
+class TestSidecarScanEquivalence:
+    """The space-ordered sidecar answers exactly what the linear scan
+    does — same refs, same order — whatever the segment looks like."""
+
+    def _check(self, path, seed):
+        questions = _random_questions(random.Random(seed))
+        with TrajectoryStore(path) as fast, TrajectoryStore(
+            path, index_sidecars=False
+        ) as scan:
+            assert fast.index_report()["scanned_segments"] == 0
+            assert fast.records() == scan.records()
+            assert fast.record_count == scan.record_count
+            assert fast.devices() == scan.devices()
+            for d in range(10):  # dev-9 does not exist
+                assert fast.device_manifest(f"dev-{d}") == scan.device_manifest(
+                    f"dev-{d}"
+                )
+            for question in questions:
+                assert list(fast.candidates(**question)) == list(
+                    scan.candidates(**question)
+                ), question
+
+    @pytest.mark.parametrize(
+        "n, segment_max_bytes",
+        [(0, 1 << 22), (1, 1 << 22), (63, 1 << 22), (64, 1 << 22),
+         (65, 1 << 22), (256, 1 << 22), (300, 4096)],
+    )
+    def test_random_stores(self, tmp_path, n, segment_max_bytes):
+        path = tmp_path / "s"
+        rng = random.Random(1000 + n)
+        _random_store(path, rng, n, segment_max_bytes)
+        with TrajectoryStore(path) as store:
+            assert (len(store.segment_names) > 3) == (segment_max_bytes == 4096)
+        self._check(path, n)
+        # A tombstone in the tail, over records in every earlier segment.
+        with TrajectoryStore(path) as store:
+            store.delete_device("dev-5")
+            store.append("dev-5", _trajectory(_track(10.0, 10.0)))
+        self._check(path, n + 1)
+        with TrajectoryStore(path) as store:
+            store.reindex()
+        self._check(path, n + 2)
+        with TrajectoryStore(path) as store:
+            store.compact()
+        self._check(path, n + 3)
+
+
+class TestSubLinearSelection:
+    """A small rectangle and a device manifest cost what they return, not
+    what the store holds — counted in rows examined, not timed."""
+
+    @staticmethod
+    def _examined(path, n):
+        rng = random.Random(77)
+        frame = UTMProjection(33)
+        with TrajectoryStore(path) as store:
+            for i in range(n):
+                x, y = rng.uniform(0.0, 50_000.0), rng.uniform(0.0, 50_000.0)
+                store.append(
+                    f"dev-{i % (n // 20)}",  # the fleet grows, not the history
+                    _trajectory(
+                        [PlanePoint(x, y, float(i)), PlanePoint(x + 25.0, y + 18.0, i + 30.0)],
+                        frame=frame,
+                    ),
+                )
+        with TrajectoryStore(path) as store:
+            assert store.index_report()["scanned_segments"] == 0
+            # 1/100 of the extent per side, mid-map.
+            rect = (25_000.0, 25_000.0, 25_500.0, 25_500.0)
+            hits = list(store.candidates(rect=rect, zone=33))
+            by_rect = store.index_report()["rows_examined"]
+            manifest = store.device_manifest("dev-7")
+            by_manifest = store.index_report()["rows_examined"] - by_rect
+            assert len(manifest) == 20
+            assert store.index_report()["blocks_examined"] > 0
+        with TrajectoryStore(path, index_sidecars=False) as scan:
+            assert hits == list(scan.candidates(rect=rect, zone=33))
+            assert manifest == scan.device_manifest("dev-7")
+        return by_rect, by_manifest
+
+    def test_examined_rows_do_not_follow_the_store_size(self, tmp_path):
+        examined = {
+            n: self._examined(tmp_path / f"s{n}", n)
+            for n in (5_000, 20_000, 80_000)
+        }
+        for kind in (0, 1):
+            assert examined[20_000][kind] <= 0.05 * 20_000, examined
+            assert examined[80_000][kind] < 4 * examined[5_000][kind], examined
 
 
 class TestAntimeridianWrap:
