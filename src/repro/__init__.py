@@ -28,15 +28,10 @@ Three layers, lowest first:
     and compaction, and error-aware spatio-temporal queries answered
     directly over the compressed records (``python -m repro.storage``).
 
-``repro.bench``
-    The reproducible benchmark subsystem (``python -m repro.bench``):
-    seeded synthetic workloads, a two-pass timing harness with built-in
-    correctness audits, and a comparison mode for recorded runs.
-
 The most common entry points are re-exported here.
 """
 
-from . import bench, compression, engine, geometry, model, storage
+from . import compression, engine, geometry, model, storage
 from .compression import (
     BQSCompressor,
     DeadReckoningCompressor,
@@ -82,7 +77,6 @@ __all__ = [
     "TrajectoryColumns",
     "TrajectoryStore",
     "UniformSampler",
-    "bench",
     "compression",
     "engine",
     "evaluate_suite",

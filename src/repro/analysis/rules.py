@@ -358,7 +358,7 @@ def _local_set_names(scope: ast.AST) -> Set[str]:
 
 
 def _ra03_clock_exempt(module: SourceModule) -> bool:
-    # Bench/CLI entry points stamp their reports with the recording time
+    # CLI entry points stamp their reports with the recording time
     # on purpose; the records' *digests* never include it.
     return module.filename == "__main__.py" or module.in_dir("testing")
 

@@ -64,13 +64,6 @@ class Decision:
     PERIODIC = "periodic"  #: fixed-rate decision (uniform sampling)
     BATCH = "batch"  #: deferred to finish() (batch baselines)
 
-    #: .. deprecated:: PR 2
-    #:    ``EXACT`` conflated the accept and commit outcomes of the exact
-    #:    fallback; use :attr:`EXACT_ACCEPT` / :attr:`EXACT_COMMIT`.  Kept so
-    #:    external stats readers comparing against the old label keep
-    #:    importing, but no compressor records it any more.
-    EXACT = "exact"
-
 
 @dataclass(frozen=True)
 class PushResult:

@@ -125,12 +125,11 @@ class EvaluationRow:
     def points_per_second(self) -> float:
         """Throughput over the whole run (pushes + finish), points/sec.
 
-        Same formula as the benchmark subsystem (:mod:`repro.bench`) —
-        original points divided by total wall time — but this harness
-        drives the per-point ``push()`` path and samples buffer occupancy
-        inside the timed region, so it reads somewhat lower than the bench
-        harness's batched throughput pass; compare it against the bench
-        *latency* pass, not the headline ``points_per_sec``.
+        Original points divided by total wall time.  This harness drives
+        the per-point ``push()`` path and samples buffer occupancy inside
+        the timed region, so it reads lower than a batched ``push_xyt``
+        run of the same stream (the reference benchmark's
+        ``device_stream`` workload times both entry points).
         """
         if self.wall_seconds <= 0.0:
             return 0.0

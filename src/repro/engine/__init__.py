@@ -1,8 +1,8 @@
 """Multi-stream fleet engine: many devices, bounded memory, optional shards.
 
 Sits between :mod:`repro.compression` (which it drives) and
-:mod:`repro.bench` (which measures it).  Two engines behind one batch
-interface:
+:mod:`repro.storage` (which its sinks fill).  Two engines behind one
+batch interface:
 
 :class:`StreamEngine`
     Single-process multiplexer: per-device compressor state behind dict

@@ -14,9 +14,9 @@ zero-copy shared-memory rings).  ``--geodetic`` feeds raw GPS ``(lat, lon)`` fix
 the :class:`~repro.engine.geodetic.GeoStreamEngine` front-end (UTM zone
 auto-selected per device; ``--multi-zone`` scatters the fleet across two
 zone boundaries on both hemispheres, ``--noise-m`` adds GPS noise) and
-reports the zones the run stamped.  Use the benchmark subsystem
-(``python -m repro.bench``) for recorded, comparable numbers — this entry
-point is for watching the engine work.
+reports the zones the run stamped.  Use the reference benchmark
+(``python3 benchmark/run.py``) for recorded, comparable numbers — this
+entry point is for watching the engine work.
 
 ``--dirty`` turns the simulated feed hostile: seeded disorder is injected
 into the stream (``--swaps`` late arrivals, ``--dups`` duplicates,

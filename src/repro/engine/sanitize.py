@@ -58,7 +58,7 @@ at the boundary.
 
 With no policy configured the engines bypass this module entirely — the
 clean-input fast paths are bit-identical to the pre-sanitizer engine,
-which the bench digests pin.
+which ``tests/test_digest_pins.py`` pins.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 # -- drop / split reason vocabulary (stable strings: they appear in
-# FeedReport JSON, bench records, and CLI output) ---------------------------
+# FeedReport JSON and CLI output) -----------------------------------------
 
 DROP_OUT_OF_ORDER = "out_of_order"  #: timestamp behind the released stream
 DROP_DUPLICATE = "duplicate"  #: exact or near-duplicate of the last fix
@@ -115,7 +115,7 @@ class SanitizePolicy:
     The default policy repairs nothing but exact/near duplicates and
     ordering (drop mode): enable the stages a deployment needs.  Frozen
     and purely scalar, so it pickles to sharded workers and serializes
-    into bench records via :meth:`to_json`.
+    via :meth:`to_json`.
 
     Attributes:
         max_lateness: seconds of reordering the buffer absorbs; ``0``
@@ -191,7 +191,7 @@ class SanitizePolicy:
             )
 
     def to_json(self) -> dict:
-        """A plain-JSON rendering (recorded in bench documents)."""
+        """A plain-JSON rendering."""
         return asdict(self)
 
 

@@ -37,8 +37,8 @@ def bqs_fleet_factory(epsilon: float, device_id) -> BQSCompressor:
 
     Module-level (and ``functools.partial``-friendly) so
     :class:`~repro.engine.sharded.ShardedStreamEngine` workers can unpickle
-    it; the engine CLI and the fleet benchmark share it so they always
-    measure the same compressor configuration.
+    it; the engine CLI, the crash harness and the digest pins share it so
+    they always run the same compressor configuration.
     """
     return BQSCompressor(epsilon)
 

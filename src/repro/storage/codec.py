@@ -281,12 +281,6 @@ class DecodedTrajectory:
         n = len(self.columns)
         return self.encoded_bytes / n if n else float(self.encoded_bytes)
 
-    @property
-    def bytes_per_raw_point(self) -> float:
-        """Encoded bytes per *original* GPS point — the end-to-end figure."""
-        n = self.original_count
-        return self.encoded_bytes / n if n else float(self.encoded_bytes)
-
     def projection(self) -> UTMProjection | None:
         """The UTM projection stamped at encode time, if any."""
         if self.utm_zone is None:

@@ -149,8 +149,9 @@ class TrajectoryStore:
         self._fsync = fsync
         #: ``False`` disables the sidecar fast path entirely: never read,
         #: trust, or write ``.idx`` files — every segment is envelope-
-        #: scanned exactly like the pre-sidecar store.  The benchmark's
-        #: scan baseline and the index-parity tests run through this.
+        #: scanned exactly like the pre-sidecar store.  The
+        #: ``scale-smoke`` scan baseline and the index-parity tests run
+        #: through this.
         self._index_sidecars = index_sidecars
         self._segments: List[str] = []
         self._views: list = []  # SegmentIndex | ScannedSegment, per segment
@@ -888,8 +889,8 @@ class TrajectoryStore:
         order — a physical-layout-independent fingerprint of the store's
         *content*: two stores hold byte-identical trajectories exactly
         when their digests match, regardless of segment boundaries or
-        compactions.  The crash harness and the durability bench pin
-        recovery correctness on it.
+        compactions.  The crash harness and ``tests/test_digest_pins.py``
+        pin recovery correctness and ingest output on it.
         """
         import hashlib
 

@@ -8,6 +8,11 @@ KillFS` that SIGKILLs the calling process mid-write, and the kill-9
 crash harnesses the tests and the CI smoke step drive
 (``python -m repro.testing.faults``).
 
+:mod:`repro.testing.workloads` holds the four seeded motion generators
+(``WORKLOADS`` / ``make_workload``) and the exact-output digests
+(``key_point_digest`` / ``fleet_digest``) the behaviour pins in
+``tests/test_digest_pins.py`` are stated in.
+
 Imports are lazy so ``python -m repro.testing.faults`` does not import
 the module twice (once as a package attribute, once as ``__main__``).
 """

@@ -44,6 +44,7 @@ import signal
 from pathlib import Path
 
 from .. import fsio
+from .workloads import fleet_digest
 
 __all__ = [
     "FaultyFS",
@@ -488,15 +489,14 @@ def run_sharded_transport_check(
     :class:`~repro.engine.sharded.ShardedStreamEngine` per transport
     (``pipe`` and ``shm``), each with a worker SIGKILLed mid-stream and
     rebuilt from its shard journal — and asserts every run's
-    :func:`~repro.bench.fleet.fleet_digest` is identical.  A digest split
-    between the transports, or between either transport and the
+    :func:`~repro.testing.workloads.fleet_digest` is identical.  A digest
+    split between the transports, or between either transport and the
     single-process reference, is exactly the drift the CI smoke exists to
     catch.  Returns a report with the digest, per-transport restart
     counts, and per-transport transport stats.
     """
     import time as _time
 
-    from ..bench.fleet import fleet_digest
     from ..engine import ShardedStreamEngine, StreamEngine, bqs_fleet_factory
 
     base = Path(base)

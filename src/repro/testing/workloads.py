@@ -1,4 +1,4 @@
-"""Synthetic workload generators for the benchmark subsystem.
+"""Seeded motion generators and the output digests the pins are stated in.
 
 Each generator is stdlib-only, fully deterministic for a given seed, and
 returns ``n`` :class:`~repro.model.point.PlanePoint` samples at 1 Hz in a
@@ -9,8 +9,8 @@ near-straight arcs, and the stop-and-go pattern that stresses degenerate
 
 ``random_walk``
     The correlated random walk shared with the evaluation harness
-    (:func:`repro.compression.evaluate.synthetic_track`), so the two
-    subsystems benchmark the exact same stream.
+    (:func:`repro.compression.evaluate.synthetic_track`), so the tests
+    and the evaluation CLI see the exact same stream.
 
 ``vehicle_route``
     Manhattan-grid driving: straight blocks at urban cruise speed with
@@ -26,10 +26,16 @@ near-straight arcs, and the stop-and-go pattern that stresses degenerate
     Alternating stationary dwells (GPS scatter only) and movement bursts
     at pedestrian/cycling pace — many co-located and repeated fixes, the
     regime that exercises cache reuse and degenerate direction handling.
+
+:func:`key_point_digest` and :func:`fleet_digest` fingerprint compressor
+output exactly (``repr`` round-trips floats), so equal digests mean
+bit-identical key points; ``tests/test_digest_pins.py`` and the crash
+harness (:mod:`repro.testing.faults`) compare them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from typing import Callable, Dict, List
@@ -44,6 +50,8 @@ __all__ = [
     "flight_arc",
     "bursty_pause",
     "make_workload",
+    "key_point_digest",
+    "fleet_digest",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -153,7 +161,7 @@ def bursty_pause(n: int, seed: int = 7) -> List[PlanePoint]:
     return pts
 
 
-#: Name → generator registry the CLI and tests iterate.
+#: Name → generator registry the tests iterate.
 WORKLOADS: Dict[str, Callable[[int, int], List[PlanePoint]]] = {
     "random_walk": random_walk,
     "vehicle_route": vehicle_route,
@@ -171,3 +179,24 @@ def make_workload(name: str, n: int, seed: int = 7) -> List[PlanePoint]:
             f"unknown workload {name!r}; known: {', '.join(sorted(WORKLOADS))}"
         ) from None
     return generator(n, seed)
+
+
+def key_point_digest(key_points) -> str:
+    """Short stable digest of a key-point sequence (exact coordinates)."""
+    payload = "|".join(f"{p.x!r},{p.y!r},{p.t!r}" for p in key_points)
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+
+
+def fleet_digest(results: Dict[object, List]) -> str:
+    """Order-insensitive digest of per-device compressed trajectories.
+
+    Hashes every device's id and the exact key points of each of its
+    trajectories (in completion order), with devices visited in sorted-id
+    order — equal digests mean every device got bit-identical output.
+    """
+    digest = hashlib.sha256()
+    for device_id in sorted(results, key=repr):
+        digest.update(repr(device_id).encode())
+        for trajectory in results[device_id]:
+            digest.update(key_point_digest(trajectory.key_points).encode())
+    return digest.hexdigest()[:16]

@@ -156,13 +156,13 @@ class TestRA03Determinism:
 
     def test_clock_exempt_in_main_and_testing(self):
         src = "import time\nstamp = time.time()\n"
-        assert active(lint(src, path="src/repro/bench/__main__.py")) == []
+        assert active(lint(src, path="src/repro/engine/__main__.py")) == []
         assert active(lint(src, path="src/repro/testing/synth.py")) == []
 
     def test_global_random_flagged_even_in_main(self):
         src = "import random\nx = random.random()\n"
         assert active(lint(src)) == ["RA03"]
-        assert active(lint(src, path="src/repro/bench/__main__.py")) == ["RA03"]
+        assert active(lint(src, path="src/repro/engine/__main__.py")) == ["RA03"]
 
     def test_unseeded_random_instance_flagged_seeded_passes(self):
         assert active(lint("rng = random.Random()\n")) == ["RA03"]

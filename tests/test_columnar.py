@@ -13,7 +13,6 @@ import math
 
 import pytest
 
-from repro.bench import WORKLOADS, make_workload
 from repro.compression import (
     BQSCompressor,
     DeadReckoningCompressor,
@@ -24,6 +23,7 @@ from repro.compression import (
     synthetic_track,
 )
 from repro.model import PlanePoint, TrajectoryColumns
+from repro.testing.workloads import WORKLOADS, make_workload
 
 
 def _factories(epsilon):

@@ -155,8 +155,6 @@ class TestBQSBufferBehaviour:
             Decision.LOWER_BOUND, 0
         )
         assert bound_decided > exact  # exact computation is the minority path
-        # The pre-split "exact" label is deprecated and no longer recorded.
-        assert Decision.EXACT not in stats
 
     def test_lower_bound_commits_without_exact_check(self):
         """A sharp 90-degree excursion is refuted by the lower bound alone."""

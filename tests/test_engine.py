@@ -500,8 +500,8 @@ class TestSanitizedEngine:
 
     def test_clean_input_output_matches_trusted_path(self, fleet):
         """Transparency: on clean input a sanitizing engine produces the
-        same trajectories as the trusted path (the bench pins the digest
-        version of this fleet-wide)."""
+        same trajectories as the trusted path, key point for key point
+        (CI's dirty-feed smoke leans on this for the clean-input side)."""
         ids, cols = fleet
         trusted = StreamEngine(_factory)
         trusted.push_columns(ids, cols.ts, cols.xs, cols.ys)
