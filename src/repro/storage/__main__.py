@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import statistics
 import sys
 import time
 from typing import Sequence
@@ -357,16 +358,27 @@ def _cmd_scale_smoke(args) -> int:
 
         # The middle ninth of the plane, and 1/100 of the extent per side
         # (the corner, where the synthetic fill is sure to have records).
-        rects = {
-            "geo query": geo_rect_of(1.0 / 3.0, 2.0 / 3.0),
-            "small query": geo_rect_of(0.0, 0.01),
+        queries = {
+            label: functools.partial(
+                geo_range_query, geo_rect=geo_rect, mode="approximate"
+            )
+            for label, geo_rect in (
+                ("geo query", geo_rect_of(1.0 / 3.0, 2.0 / 3.0)),
+                ("small query", geo_rect_of(0.0, 0.01)),
+            )
         }
+        # Thirty minutes centred on the median record start: a time-only
+        # window, answered by the sidecars' time order.
+        t_mid = statistics.median_low(ref.t_min for ref in store.records())
+        queries["30-min window"] = functools.partial(
+            time_window_query, t0=t_mid - 900.0, t1=t_mid + 900.0
+        )
         fast = {}
         lines = []
-        for label, geo_rect in rects.items():
+        for label, query in queries.items():
             examined = store.index_report()["rows_examined"]
             start = time.perf_counter()
-            fast[label] = geo_range_query(store, geo_rect, mode="approximate")
+            fast[label] = query(store)
             wall = time.perf_counter() - start
             examined = store.index_report()["rows_examined"] - examined
             lines.append(
@@ -383,10 +395,7 @@ def _cmd_scale_smoke(args) -> int:
     scan_store = TrajectoryStore(args.store, index_sidecars=False)
     scan_open_wall = time.perf_counter() - scan_start
     try:
-        slow = {
-            label: geo_range_query(scan_store, geo_rect, mode="approximate")
-            for label, geo_rect in rects.items()
-        }
+        slow = {label: query(scan_store) for label, query in queries.items()}
     finally:
         scan_store.close()
 
@@ -397,7 +406,7 @@ def _cmd_scale_smoke(args) -> int:
         f"{coverage['sidecar_segments']}/{coverage['segments']} segments via "
         f"sidecar, {', '.join(lines)}"
     )
-    for label in rects:
+    for label in queries:
         fast_key = [(m.ref.segment, m.ref.offset, m.device_id) for m in fast[label]]
         slow_key = [(m.ref.segment, m.ref.offset, m.device_id) for m in slow[label]]
         if fast_key != slow_key:

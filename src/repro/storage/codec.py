@@ -248,6 +248,16 @@ def _encode_with_bounds(
         buf.append(projection.zone)
         buf.append(1 if projection.south else 0)
     cols = trajectory.to_columns()
+    for field, column in (("t", cols.ts), ("x", cols.xs), ("y", cols.ys)):
+        # One sum per column screens NaN and ±inf; only a failed screen
+        # (or a finite column whose sum overflows) looks value by value.
+        if not math.isfinite(sum(column)):
+            bad = next((v for v in column if not math.isfinite(v)), None)
+            if bad is not None:
+                raise ValueError(
+                    f"non-finite {field} value {bad!r}: the codec stores "
+                    "finite key points only"
+                )
     t_min, t_max = _encode_column(buf, cols.ts, t_quantum)
     x_min, x_max = _encode_column(buf, cols.xs, xy_quantum)
     y_min, y_max = _encode_column(buf, cols.ys, xy_quantum)

@@ -57,15 +57,28 @@ blocks** — envelopes over runs of ``sort_rows`` (64) rows *of the order
 region*, tight because neighbours in Z-order are neighbours on the map,
 each tagged with its ``(zone, south)`` frame unless it straddles two —
 and only the rows of surviving blocks are unpacked, in ascending row
-order, so candidates still come out in append order.  A time-only
-window is tested against the **time blocks**, ``(t_min, t_max)`` over
-runs of ``block_rows`` (512) rows in append order, which is time order
-for a fleet on a shared clock.  Sorted-block envelopes are stored
-ε-expanded per row, so every prune is conservative: a skipped block
-provably contains no row whose ε-expanded box reaches the query
-rectangle within the window.  A device's rows are a slice of the
-posting region, so its manifest costs its own records, not the span
-between its first and last.
+order, so candidates still come out in append order.  Sorted-block
+envelopes are stored ε-expanded per row, so every prune is
+conservative: a skipped block provably contains no row whose ε-expanded
+box reaches the query rectangle within the window.  A device's rows are
+a slice of the posting region, so its manifest costs its own records,
+not the span between its first and last.
+
+A time-only window goes through a **time order** derived in memory, not
+read from the file: on the first such window, the row ordinals are
+sorted by ``t_min`` (read straight off the mmap'd row region) and cut
+into runs of ``sort_rows``, each keeping its first ``t_min`` and its
+``max(t_max)``.  A window ``[t0, t1]`` bisects the firsts for the runs
+that start by ``t1`` and drops those whose ``max(t_max)`` is before
+``t0`` — conservative, since a skipped run provably holds no row
+overlapping the window — so the cost follows the rows near the window
+whatever clocks wrote the segment.  The sort is sound because no stored
+time is NaN: the codec refuses non-finite key points.  Sealed segments
+are immutable, so the order never goes stale; it costs nothing at open
+and is dropped by :meth:`SegmentIndex.close`.  The time-block region (``_TBLOCK``, runs of
+``block_rows`` rows in append order) is still written and counted by the
+footer's size check, but nothing reads it; the next sidecar format drops
+it.
 """
 
 from __future__ import annotations
@@ -74,9 +87,11 @@ import math
 import mmap
 import os
 import struct
+import sys
 import zlib
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
@@ -109,7 +124,8 @@ _TOMB = struct.Struct("<II")
 #: order region, then the rows' UTM zone and hemisphere flag (zone
 #: ``_MIXED`` when the run straddles two frames), 6 pad bytes.
 _SBLOCK = struct.Struct("<6dBB6x")
-#: One time block: t span of a run of rows in append order.
+#: One time block: t span of a run of rows in append order (written,
+#: size-checked, never read).
 _TBLOCK = struct.Struct("<2d")
 #: magic, version, flags, n_rows, n_devices, n_tombstones, dev_bytes,
 #: block_rows, sort_rows, segment_size, damaged, log_crc, head_crc,
@@ -448,9 +464,13 @@ class SegmentIndex:
         self._posting: memoryview | None = None
         self._order: memoryview | None = None
         self._sblocks: memoryview | None = None
-        self._tblocks: memoryview | None = None
-        self._block_rows = BLOCK_ROWS
         self._sort_rows = SORT_ROWS
+        #: The time order, built by the first time-only window: row
+        #: ordinals by ``t_min``, then per run of ``sort_rows`` its first
+        #: ``t_min`` and its ``max(t_max)``.
+        self._t_order: array | None = None
+        self._t_firsts: array | None = None
+        self._t_maxes: array | None = None
 
     @classmethod
     def open(
@@ -570,8 +590,6 @@ class SegmentIndex:
         self._posting = view[rows_end:order_off].cast("I")
         self._order = view[order_off:dev_off].cast("I")
         self._sblocks = view[sblock_off:tblock_off]
-        self._tblocks = view[tblock_off:foot_off]
-        self._block_rows = block_rows
         self._sort_rows = sort_rows
 
     # -- integrity -----------------------------------------------------------
@@ -666,59 +684,29 @@ class SegmentIndex:
         sf = 1 if south else 0
         mm = self._mm
         base = self._rows_off
-        if rect is None:
-            # Time blocks, append order: contiguous runs of rows.
-            size = self._block_rows
-            spans = [
-                (lo, min(lo + size, self.n_rows))
-                for lo, (b_t0, b_t1) in zip(
-                    range(0, self.n_rows, size),
-                    _TBLOCK.iter_unpack(self._tblocks),
-                )
-                if not windowed or (b_t0 <= t1 and b_t1 >= t0)
-            ]
-            self.blocks_examined += len(self._tblocks) // _TBLOCK.size
-            self.rows_examined += sum(hi - lo for lo, hi in spans)
+        numbered: Iterator[Tuple[int, tuple]]
+        if rect is None and not windowed:
+            self.rows_examined += self.n_rows
             view = memoryview(mm)
-            numbered: Iterator[Tuple[int, tuple]] = chain.from_iterable(
-                zip(
-                    range(lo, hi),
-                    _ROW.iter_unpack(
-                        view[base + lo * _ROW.size : base + hi * _ROW.size]
-                    ),
-                )
-                for lo, hi in spans
+            numbered = enumerate(
+                _ROW.iter_unpack(view[base : base + self.n_rows * _ROW.size])
             )
         else:
-            qx0, qy0, qx1, qy1 = rect
-            if (
-                env[2] - self._max_eps > qx1
-                or env[3] + self._max_eps < qx0
-                or env[4] - self._max_eps > qy1
-                or env[5] + self._max_eps < qy0
-            ):
-                return
-            # Sorted blocks, space order: gather the surviving runs' row
-            # ordinals, then visit them ascending — append order again.
-            size = self._sort_rows
-            order = self._order
-            rows: List[int] = []
-            for lo, (b_t0, b_t1, b_x0, b_x1, b_y0, b_y1, b_zone, b_south) in zip(
-                range(0, self.n_rows, size), _SBLOCK.iter_unpack(self._sblocks)
-            ):
-                if b_x0 > qx1 or b_x1 < qx0 or b_y0 > qy1 or b_y1 < qy0:
-                    continue
-                if windowed and not (b_t0 <= t1 and b_t1 >= t0):
-                    continue
+            if rect is None:
+                rows = self._time_rows(t0, t1)
+            else:
+                qx0, qy0, qx1, qy1 = rect
                 if (
-                    zone is not None
-                    and b_zone != _MIXED
-                    and (b_zone != zone or b_south != sf)
+                    env[2] - self._max_eps > qx1
+                    or env[3] + self._max_eps < qx0
+                    or env[4] - self._max_eps > qy1
+                    or env[5] + self._max_eps < qy0
                 ):
-                    continue
-                rows += order[lo : lo + size]
+                    return
+                rows = self._space_rows(rect, t0, t1, zone, sf)
+            # Gathered in block order; visit them ascending — append order
+            # again.
             rows.sort()
-            self.blocks_examined += len(self._sblocks) // _SBLOCK.size
             self.rows_examined += len(rows)
             numbered = (
                 (row, _ROW.unpack_from(mm, base + row * _ROW.size))
@@ -744,8 +732,71 @@ class SegmentIndex:
                     continue
             yield row, _row_to_ref(name, devices, fields)
 
+    def _space_rows(
+        self,
+        rect: Tuple[float, float, float, float],
+        t0: float | None,
+        t1: float | None,
+        zone: int | None,
+        sf: int,
+    ) -> List[int]:
+        """Row ordinals of the sorted blocks the rectangle can touch."""
+        qx0, qy0, qx1, qy1 = rect
+        windowed = t0 is not None
+        size = self._sort_rows
+        order = self._order
+        rows: List[int] = []
+        for lo, (b_t0, b_t1, b_x0, b_x1, b_y0, b_y1, b_zone, b_south) in zip(
+            range(0, self.n_rows, size), _SBLOCK.iter_unpack(self._sblocks)
+        ):
+            if b_x0 > qx1 or b_x1 < qx0 or b_y0 > qy1 or b_y1 < qy0:
+                continue
+            if windowed and not (b_t0 <= t1 and b_t1 >= t0):
+                continue
+            if (
+                zone is not None
+                and b_zone != _MIXED
+                and (b_zone != zone or b_south != sf)
+            ):
+                continue
+            rows += order[lo : lo + size]
+        self.blocks_examined += len(self._sblocks) // _SBLOCK.size
+        return rows
+
+    def _time_rows(self, t0: float, t1: float) -> List[int]:
+        """Row ordinals of the time-ordered runs the window can touch."""
+        if self._t_order is None:
+            # _ROW is 10 little-endian doubles wide, led by t_min, t_max.
+            base = self._rows_off
+            cols = array("d", self._mm[base : base + self.n_rows * _ROW.size])
+            if sys.byteorder == "big":
+                cols.byteswap()
+            t_min, t_max = cols[0::10], cols[1::10]
+            order = sorted(range(self.n_rows), key=t_min.__getitem__)
+            starts = range(0, self.n_rows, self._sort_rows)
+            self._t_firsts = array("d", [t_min[order[lo]] for lo in starts])
+            self._t_maxes = array(
+                "d",
+                [
+                    max(map(t_max.__getitem__, order[lo : lo + self._sort_rows]))
+                    for lo in starts
+                ],
+            )
+            self._t_order = array("I", order)
+        order, maxes, size = self._t_order, self._t_maxes, self._sort_rows
+        # Runs past ``k`` start after t1; of the rest, skip those that end
+        # before t0.
+        k = bisect_right(self._t_firsts, t1)
+        self.blocks_examined += k
+        rows: List[int] = []
+        for i in range(k):
+            if maxes[i] >= t0:
+                rows += order[i * size : (i + 1) * size]
+        return rows
+
     def close(self) -> None:
-        self._posting = self._order = self._sblocks = self._tblocks = None
+        self._posting = self._order = self._sblocks = None
+        self._t_order = self._t_firsts = self._t_maxes = None
         if self._mm is not None:
             try:
                 self._mm.close()

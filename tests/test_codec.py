@@ -27,11 +27,13 @@ from repro.compression import BQSCompressor
 from repro.compression.evaluate import synthetic_track
 from repro.geometry import DistanceMetric
 from repro.model import CompressedTrajectory, LocationPoint, PlanePoint
+from repro.model.point import _trusted_plane_point
 from repro.model.projection import UTMProjection, project_track
 from repro.storage import (
     DEFAULT_T_QUANTUM,
     DEFAULT_XY_QUANTUM,
     CodecError,
+    TrajectoryStore,
     decode_trajectory,
     encode_trajectory,
 )
@@ -150,6 +152,29 @@ class TestErrors:
         blob = encode_trajectory(big, xy_quantum=1.0)
         dec = decode_trajectory(blob)
         assert dec.columns.xs[0] == 2.0**59
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["t", "x", "y"])
+    def test_encoder_rejects_non_finite_values(self, field, bad):
+        """Sidecar time order relies on no stored time being NaN: the
+        encoder names the field instead of failing inside quantization.
+        ``PlanePoint`` already refuses non-finite x / y, so those reach the
+        encoder only through the unvalidated bulk constructor."""
+        values = {"x": 1.0, "y": 2.0, "t": 3.0, "z": 0.0, field: bad}
+        ct = CompressedTrajectory(
+            key_points=(_trusted_plane_point(**values),), original_count=1
+        )
+        with pytest.raises(ValueError, match=f"non-finite {field} value"):
+            encode_trajectory(ct)
+
+    def test_store_append_rejects_a_nan_time(self, tmp_path):
+        ct = CompressedTrajectory(
+            key_points=(PlanePoint(0.0, 0.0, math.nan),), original_count=1
+        )
+        with TrajectoryStore(tmp_path / "s") as store:
+            with pytest.raises(ValueError, match="non-finite t value"):
+                store.append("dev", ct)
+            assert store.record_count == 0
 
 
 class TestFuzz:

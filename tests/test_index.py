@@ -605,8 +605,9 @@ class TestSidecarScanEquivalence:
     """The space-ordered sidecar answers exactly what the linear scan
     does — same refs, same order — whatever the segment looks like."""
 
-    def _check(self, path, seed):
-        questions = _random_questions(random.Random(seed))
+    def _check(self, path, seed, questions=None):
+        if questions is None:
+            questions = _random_questions(random.Random(seed))
         with TrajectoryStore(path) as fast, TrajectoryStore(
             path, index_sidecars=False
         ) as scan:
@@ -646,6 +647,56 @@ class TestSidecarScanEquivalence:
         with TrajectoryStore(path) as store:
             store.compact()
         self._check(path, n + 3)
+
+    @pytest.mark.parametrize("segment_max_bytes", [1 << 22, 4096])
+    def test_time_order_boundaries(self, tmp_path, segment_max_bytes):
+        """Windows that are adversarial for a time-sorted index: one record
+        spans the whole history (one run's ``max(t_max)`` is huge), many
+        records share a ``t_min`` (runs of equal firsts), and every window
+        edge lands exactly on a stored ``t_min`` / ``t_max``."""
+        rng = random.Random(31)
+        path = tmp_path / "s"
+        # Whole seconds: exact at the codec's millisecond time quantum.
+        spans = [(0.0, 9_000.0)] + [
+            (t, t + rng.choice((0.0, 30.0, 600.0)))
+            for t in (100.0 * rng.randrange(40) for _ in range(400))
+        ]
+        rng.shuffle(spans)
+        frames = (None, UTMProjection(32), UTMProjection(33))
+        with TrajectoryStore(path, segment_max_bytes=segment_max_bytes) as store:
+            for i, (lo, hi) in enumerate(spans):
+                x, y = rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0)
+                store.append(
+                    f"dev-{i % 9}",
+                    _trajectory(
+                        [PlanePoint(x, y, lo), PlanePoint(x + 5.0, y + 3.0, hi)],
+                        frame=frames[i % 3],
+                    ),
+                )
+        edges = sorted({t for span in spans for t in span})
+        windows = [(-1_000.0, -1.0), (9_001.0, 20_000.0), (-1.0, 0.0),
+                   (9_000.0, 9_000.0)]
+        windows += [(t, t) for t in edges]
+        # t0 on one record's t_max, t1 on another's t_min.
+        windows += [
+            tuple(sorted((hi, spans[rng.randrange(len(spans))][0])))
+            for _, hi in rng.sample(spans, 30)
+        ]
+        questions = [{"t0": t0, "t1": t1} for t0, t1 in windows]
+        questions += [
+            {"t0": t0, "t1": t1, "zone": 33, "south": False}
+            for t0, t1 in windows[::4]
+        ]
+        self._check(path, None, questions)
+        with TrajectoryStore(path) as store:
+            store.delete_device("dev-4")
+        self._check(path, None, questions)
+        with TrajectoryStore(path) as store:
+            store.reindex()
+        self._check(path, None, questions)
+        with TrajectoryStore(path) as store:
+            store.compact()
+        self._check(path, None, questions)
 
 
 class TestSubLinearSelection:
@@ -689,6 +740,50 @@ class TestSubLinearSelection:
         for kind in (0, 1):
             assert examined[20_000][kind] <= 0.05 * 20_000, examined
             assert examined[80_000][kind] < 4 * examined[5_000][kind], examined
+
+
+class TestSubLinearTimeWindow:
+    """A 30-minute window costs what it returns, not what the store holds,
+    even when the rows were appended in no time order at all (many clocks
+    writing one store) — counted in rows examined, not timed."""
+
+    WINDOW = 1_800.0
+
+    @classmethod
+    def _examined(cls, path, n):
+        rng = random.Random(78)
+        # A history that grows with the store: expected matches stay fixed.
+        span = 20.0 * n
+        starts = [rng.uniform(0.0, span) for _ in range(n)]
+        frame = UTMProjection(33)
+        with TrajectoryStore(path) as store:
+            for i, t in enumerate(starts):
+                x, y = rng.uniform(0.0, 50_000.0), rng.uniform(0.0, 50_000.0)
+                store.append(
+                    f"dev-{i % (n // 20)}",
+                    _trajectory(
+                        [PlanePoint(x, y, t), PlanePoint(x + 25.0, y + 18.0, t + 30.0)],
+                        frame=frame,
+                    ),
+                )
+        t0 = span / 2.0
+        with TrajectoryStore(path) as store:
+            assert store.index_report()["scanned_segments"] == 0
+            hits = list(store.candidates(t0=t0, t1=t0 + cls.WINDOW))
+            report = store.index_report()
+            assert report["blocks_examined"] > 0
+        with TrajectoryStore(path, index_sidecars=False) as scan:
+            assert hits == list(scan.candidates(t0=t0, t1=t0 + cls.WINDOW))
+        assert hits, "the window must hold records"
+        return report["rows_examined"]
+
+    def test_examined_rows_do_not_follow_the_store_size(self, tmp_path):
+        examined = {
+            n: self._examined(tmp_path / f"s{n}", n)
+            for n in (5_000, 20_000, 80_000)
+        }
+        assert examined[20_000] <= 0.05 * 20_000, examined
+        assert examined[80_000] < 4 * examined[5_000], examined
 
 
 class TestAntimeridianWrap:
@@ -1004,3 +1099,4 @@ class TestScaleSmokeCLI:
         )
         out = capsys.readouterr().out
         assert "PASS" in out
+        assert "30-min window" in out
