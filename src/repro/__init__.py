@@ -4,7 +4,7 @@ compression on the go" (Liu et al., ICDE 2015).
 Three layers, lowest first:
 
 ``repro.geometry``
-    Dependency-free 2-D/3-D math kernels: distances, hulls, the wedge/box
+    Dependency-free 2-D math kernels: distances, hulls, the wedge/box
     bound helpers behind the BQS deviation bounds.
 
 ``repro.model``

@@ -21,9 +21,14 @@ caller's point of view:
     the ``compress()`` convenience driver and the ``buffered_points``
     instrumentation used by the memory-behaviour tests.
 
+``SteppedCompressor`` (ABC)
+    The base of BQS and Fast-BQS: the whole per-arrival decision is one
+    ``_step(x, y, t, src)``, and ``push``, ``push_many`` and ``push_xyt``
+    are adapters that only check the clock, step and count decisions.
+
 ``PointBuffer``
     A small buffer with high-water-mark tracking, used by the algorithms
-    that legitimately buffer (BQS's exact-deviation fallback, the batch
+    that legitimately buffer (BQS's ``debug_audit`` mode, the batch
     baselines) so their memory behaviour is observable.
 """
 
@@ -31,7 +36,8 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..geometry.metrics import DistanceMetric
@@ -43,6 +49,7 @@ __all__ = [
     "PushResult",
     "StreamingCompressor",
     "CompressorBase",
+    "SteppedCompressor",
     "PointBuffer",
 ]
 
@@ -135,7 +142,7 @@ class StreamingCompressor(Protocol):
 class PointBuffer:
     """A point buffer that remembers its high-water mark.
 
-    Algorithms that buffer (BQS fallback, batch baselines) route their
+    Algorithms that buffer (BQS ``debug_audit``, batch baselines) route their
     storage through this class so tests — and the evaluation harness — can
     report peak memory behaviour per algorithm.
     """
@@ -174,9 +181,10 @@ class CompressorBase(abc.ABC):
     """Shared push/finish machinery for online compressors.
 
     Subclasses implement :meth:`_ingest` (per-point decision, returning any
-    key points committed by that arrival plus the decision label) and
-    :meth:`_flush` (key points emitted at end of stream).  The base class
-    owns stream validation, key-point ordering, counting and lifecycle.
+    key points committed by that arrival plus the decision label),
+    :meth:`_ingest_xyt` (the columnar twin) and :meth:`_flush` (key points
+    emitted at end of stream).  The base class owns stream validation,
+    key-point ordering, counting and lifecycle.
     """
 
     #: Short identifier; subclasses override.
@@ -235,10 +243,7 @@ class CompressorBase(abc.ABC):
         if not isinstance(point, PlanePoint):
             raise TypeError(f"push expects PlanePoint, got {type(point).__name__}")
         if not (point.t >= self._last_t):
-            raise ValueError(
-                f"points must be non-decreasing in time "
-                f"({self._last_t} then {point.t})"
-            )
+            raise _backwards(self._last_t, point.t)
         self._last_t = point.t
         index = self._count
         self._count += 1
@@ -282,19 +287,18 @@ class CompressorBase(abc.ABC):
         :class:`~repro.model.columns.TrajectoryColumns` (pass ``cols.ts,
         cols.xs, cols.ys``) or any parallel float sequences.  Output is
         *bit-identical* to pushing ``PlanePoint(x, y, t)`` objects one at a
-        time, but hot-path subclasses override :meth:`_ingest_xyt` to read
-        the floats straight out of the columns and materialize points only
-        for committed key points, so no per-fix object is ever built.
+        time, but :meth:`_ingest_xyt` reads the floats straight out of the
+        columns and materializes points only for committed key points, so
+        no per-fix object is ever built.
 
-        Like :meth:`push_many`, values are trusted: the columnar overrides
-        never check coordinates for finiteness on ingest (a non-finite
+        BQS and Fast-BQS reject a NaN / ±inf coordinate exactly like a
+        ``push`` loop would (see :meth:`SteppedCompressor._ingest_xyt`).
+        The baselines' columnar overrides trust their values: a non-finite
         coordinate surfaces as a ``ValueError`` only if its fix is
-        materialized as a key point), while paths that materialize every
-        fix — the default fallback below and BQS's ``debug_audit`` mode —
-        validate each one at construction, exactly like a ``push`` loop.
-        Timestamp monotonicity is always enforced on every fix, and a
-        mid-batch violation consumes the valid prefix before raising.
-        Returns the number of fixes consumed.
+        materialized as a key point.  Timestamp monotonicity is always
+        enforced on every fix.  A mid-batch error of either kind consumes
+        the valid prefix before raising.  Returns the number of fixes
+        consumed.
         """
         if self._finished:
             raise RuntimeError(
@@ -355,12 +359,12 @@ class CompressorBase(abc.ABC):
         """Batch ingest behind :meth:`push_many`; returns points consumed.
 
         The default drives :meth:`_ingest` in a tight loop with the stream
-        bookkeeping hoisted into locals.  Hot-path subclasses override this
-        with a loop that skips the per-point ``(committed, label)`` tuple
-        entirely and counts decisions in integer slots — the contract is
-        only that key points, counts and stats end up exactly as a
-        :meth:`push` loop would leave them, even when a point mid-batch
-        raises.
+        bookkeeping hoisted into locals.  :class:`SteppedCompressor`
+        overrides this with a loop that skips the per-point ``(committed,
+        label)`` tuple entirely and counts decisions in integer slots — the
+        contract is only that key points, counts and stats end up exactly
+        as a :meth:`push` loop would leave them, even when a point
+        mid-batch raises.
         """
         ingest = self._ingest
         emit = self._emit
@@ -371,10 +375,7 @@ class CompressorBase(abc.ABC):
             for point in points:
                 t = point.t
                 if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
+                    raise _backwards(last_t, t)
                 last_t = t
                 count += 1
                 committed, decided_by = ingest(point)
@@ -386,6 +387,7 @@ class CompressorBase(abc.ABC):
             self._count = count
         return count - start
 
+    @abc.abstractmethod
     def _ingest_xyt(
         self,
         ts: Sequence[float],
@@ -394,56 +396,12 @@ class CompressorBase(abc.ABC):
     ) -> int:
         """Columnar ingest behind :meth:`push_xyt`; returns fixes consumed.
 
-        The default materializes a ``PlanePoint`` per fix and reuses
-        :meth:`_ingest_many` — correct for every subclass, columnar-fast for
-        none.  Hot-path subclasses override this with a loop over the raw
-        floats; the contract is the same as :meth:`_ingest_many`: key
-        points, counts and stats must end up exactly as a :meth:`push` loop
-        over the materialized points would leave them, even when a fix
-        mid-batch raises.
+        Every compressor reads the raw floats in its own loop; the contract
+        is the same as :meth:`_ingest_many`: key points, counts and stats
+        must end up exactly as a :meth:`push` loop over
+        ``PlanePoint(x, y, t)`` would leave them, even when a fix mid-batch
+        raises.
         """
-        return self._ingest_many(map(PlanePoint, xs, ys, ts))
-
-    def _run_batch_stepped(
-        self,
-        points: Iterable[PlanePoint],
-        step,
-        labels: tuple[str, ...],
-    ) -> int:
-        """The slot-counter batch loop shared by hot-path subclasses.
-
-        ``step(point)`` returns ``(key_point_or_None, decision_slot)`` with
-        the slot indexing into ``labels``; the counters are folded into the
-        stats dict once, in the ``finally`` block, so stats stay consistent
-        with a :meth:`push` loop even when a point mid-batch raises.
-        """
-        emit = self._emit
-        counters = [0] * len(labels)
-        last_t = self._last_t
-        count = start = self._count
-        try:
-            for point in points:
-                t = point.t
-                if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
-                last_t = t
-                count += 1
-                key, slot = step(point)
-                counters[slot] += 1
-                if key is not None:
-                    emit(key)
-        finally:
-            self._last_t = last_t
-            self._count = count
-            stats = self._stats
-            for slot, n in enumerate(counters):
-                if n:
-                    label = labels[slot]
-                    stats[label] = stats.get(label, 0) + n
-        return count - start
 
     @abc.abstractmethod
     def _flush(self) -> list[PlanePoint]:
@@ -470,3 +428,127 @@ class CompressorBase(abc.ABC):
             ):
                 return
         self._key_points.append(point)
+
+
+class SteppedCompressor(CompressorBase):
+    """A compressor whose whole per-arrival decision is one :meth:`_step`.
+
+    ``_step(x, y, t, src)`` takes the fix as floats plus the pushed
+    :class:`PlanePoint` (``None`` on the columnar path) and returns
+    ``(committed key point or None, decision slot)``, the slot indexing
+    :attr:`_labels`.  ``push``, ``push_many`` and ``push_xyt`` only check
+    the clock, step and count slots, so their outputs agree by
+    construction.
+
+    The previous fix is one tuple ``(x, y, t, src)`` in ``_prev``.
+    :meth:`_prev_point` commits it as ``src`` itself when a point was
+    pushed (identity and ``z`` pass through), else as a new
+    ``PlanePoint(x, y, t)``.
+    """
+
+    #: Decision labels, indexed by the slots :meth:`_step` returns.
+    _labels: tuple[str, ...] = ()
+    _prev: tuple[float, float, float, PlanePoint | None] | None = None
+
+    @abc.abstractmethod
+    def _step(
+        self, x: float, y: float, t: float, src: PlanePoint | None
+    ) -> tuple[PlanePoint | None, int]:
+        """One arrival: (committed key point or None, decision slot)."""
+
+    def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
+        key, slot = self._step(point.x, point.y, point.t, point)
+        return ([] if key is None else [key]), self._labels[slot]
+
+    def _ingest_many(self, points: Iterable[PlanePoint]) -> int:
+        step = self._step
+        emit = self._emit
+        counters = [0] * len(self._labels)
+        last_t = self._last_t
+        count = start = self._count
+        try:
+            for point in points:
+                t = point.t
+                if not (t >= last_t):
+                    raise _backwards(last_t, t)
+                last_t = t
+                count += 1
+                key, slot = step(point.x, point.y, t, point)
+                counters[slot] += 1
+                if key is not None:
+                    emit(key)
+        finally:
+            self._last_t = last_t
+            self._count = count
+            self._fold(counters)
+        return count - start
+
+    def _ingest_xyt(
+        self,
+        ts: Sequence[float],
+        xs: Sequence[float],
+        ys: Sequence[float],
+    ) -> int:
+        """Columnar ingest: floats straight into :meth:`_step`.
+
+        Coordinates are screened once per batch with a C-level ``sum`` per
+        column (a non-finite element can never sum to a finite total).  On
+        a non-finite total the first bad fix is located, the valid prefix
+        is ingested, and the ``ValueError`` that ``PlanePoint(x, y, t)``
+        raises for that fix propagates, exactly as in a :meth:`push` loop.
+        A total that merely overflowed finds no bad fix and runs normally.
+        """
+        stop = None
+        if not (math.isfinite(sum(xs)) and math.isfinite(sum(ys))):
+            stop = next(
+                (
+                    i
+                    for i, (x, y) in enumerate(zip(xs, ys))
+                    if not (math.isfinite(x) and math.isfinite(y))
+                ),
+                None,
+            )
+        fixes = zip(ts if stop is None else islice(ts, stop), xs, ys)
+        step = self._step
+        emit = self._emit
+        counters = [0] * len(self._labels)
+        last_t = self._last_t
+        count = start = self._count
+        try:
+            for t, x, y in fixes:
+                if not (t >= last_t):
+                    raise _backwards(last_t, t)
+                last_t = t
+                count += 1
+                key, slot = step(x, y, t, None)
+                counters[slot] += 1
+                if key is not None:
+                    emit(key)
+        finally:
+            self._last_t = last_t
+            self._count = count
+            self._fold(counters)
+        if stop is not None:
+            PlanePoint(xs[stop], ys[stop], ts[stop])  # raises, like push would
+        return count - start
+
+    def _fold(self, counters: list[int]) -> None:
+        """Add per-slot decision counts into the stats dict."""
+        stats = self._stats
+        for label, n in zip(self._labels, counters):
+            if n:
+                stats[label] = stats.get(label, 0) + n
+
+    def _prev_point(self) -> PlanePoint:
+        """The previous fix as a key point (the pushed object if any)."""
+        x, y, t, src = self._prev
+        return PlanePoint(x, y, t) if src is None else src
+
+    def _flush(self) -> list[PlanePoint]:
+        return [] if self._prev is None else [self._prev_point()]
+
+
+def _backwards(last_t: float, t: float) -> ValueError:
+    return ValueError(
+        f"points must be non-decreasing in time ({last_t} then {t})"
+    )

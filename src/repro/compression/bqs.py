@@ -45,6 +45,14 @@ per-point-cost claim of the paper):
 * a segment split reuses the four quadrant structures in place rather than
   reallocating them.
 
+The decision is written once, in :meth:`BQSCompressor._step`, which takes
+the fix as floats.  ``push``, ``push_many`` and ``push_xyt`` are adapters
+around it (:class:`~repro.compression.base.SteppedCompressor`), so their
+outputs agree by construction; the columnar path builds a ``PlanePoint``
+only for a committed key point.  An arrival that coincides with the anchor
+takes the same step: its path line collapses to a point, where the lower
+bound is already exact.
+
 A full point buffer survives only behind the ``debug_audit`` flag, where
 every exact-fallback decision is cross-checked against a brute-force scan
 of the buffered segment points (and the test suite keeps that mode honest).
@@ -65,14 +73,14 @@ from ..geometry.planar import (
     wedge_box_polygon,
 )
 from ..model.point import PlanePoint
-from .base import CompressorBase, Decision, PointBuffer
+from .base import Decision, PointBuffer, SteppedCompressor
 
 __all__ = ["QuadrantState", "BQSCompressor", "quadrant_index", "polar_angle"]
 
 _TWO_PI = 2.0 * math.pi
 
-# Integer decision slots used by the batched ingest loops; the tuple maps a
-# slot back to the public Decision label when stats are folded in.
+# Integer decision slots returned by ``_step``; the tuple maps a slot back
+# to the public Decision label when stats are folded in.
 _D_INIT = 0
 _D_ACCEPT = 1
 _D_UPPER = 2
@@ -429,7 +437,7 @@ def quadrant_index(dx: float, dy: float) -> int:
     return 1 if dy >= 0.0 else 2
 
 
-class BQSCompressor(CompressorBase):
+class BQSCompressor(SteppedCompressor):
     """Full Bounded Quadrant System (convex hulls + exact hull fallback).
 
     ``debug_audit=True`` additionally buffers every segment point and
@@ -439,6 +447,7 @@ class BQSCompressor(CompressorBase):
     """
 
     name = "bqs"
+    _labels = _DECISION_LABELS
 
     def __init__(
         self,
@@ -461,7 +470,7 @@ class BQSCompressor(CompressorBase):
 
     def _reset(self) -> None:
         self._anchor: PlanePoint | None = None
-        self._prev: PlanePoint | None = None
+        self._prev = None
         self._interior = 0
         self._quadrants: list[QuadrantState] = [
             QuadrantState(track_hull=True) for _ in range(4)
@@ -495,110 +504,100 @@ class BQSCompressor(CompressorBase):
 
     # -- algorithm ----------------------------------------------------------
 
-    def _step(self, point: PlanePoint) -> tuple[PlanePoint | None, int]:
+    def _step(
+        self, x: float, y: float, t: float, src: PlanePoint | None
+    ) -> tuple[PlanePoint | None, int]:
         """One arrival: returns (committed key point or None, decision slot).
 
-        Shared verbatim by the per-point and batched paths so their outputs
-        are bit-identical by construction.
+        The whole BQS decision, behind every entry point.  Bounds first,
+        the exact hull scan only when epsilon falls between them; a split
+        commits the previous fix and the arrival opens the new segment.
         """
+        buffer = self._buffer
+        if buffer is not None and src is None:
+            # The audit checks real points: materialize (and validate) now.
+            src = PlanePoint(x, y, t)
         anchor = self._anchor
         if anchor is None:
-            self._anchor = point
-            self._prev = point
-            return point, _D_INIT
+            key = PlanePoint(x, y, t) if src is None else src
+            self._anchor = key
+            self._prev = (x, y, t, key)
+            return key, _D_INIT
 
-        if self._interior == 0:
+        dx = x - anchor.x
+        dy = y - anchor.y
+        r = math.hypot(dx, dy)
+        quadrants = self._quadrants
+        key = None
+        if not self._interior:
             # First point after the anchor: no interior points yet, the
             # two-point segment is trivially within bound.
-            self._admit(point)
-            return None, _D_ACCEPT
-
-        dx = point.x - anchor.x
-        dy = point.y - anchor.y
-        denom = math.hypot(dx, dy)
-        if denom == 0.0:
-            return self._step_degenerate(point)
-        scaled_eps = self._epsilon * denom
-
-        quadrants = self._quadrants
-        within = True
-        for q in quadrants:
-            if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
-                # Any single quadrant over tolerance settles the question,
-                # so stop scanning — same verdict as comparing the max.
-                within = False
-                break
-        if within:
-            # Accept paths reuse the (dx, dy, denom) already computed for
-            # the bound checks; the anchor is unchanged.
-            self._admit_rel(point, dx, dy, denom)
-            return None, _D_UPPER
-
-        lower = 0.0
-        for q in quadrants:
-            if q.count:
-                c = q.lower_cross(dx, dy)
-                if c > lower:
-                    lower = c
-        if lower > scaled_eps:
+            slot = _D_ACCEPT
+        elif r == 0.0:
+            slot = self._coincident_slot()
+        else:
+            scaled_eps = self._epsilon * r
+            slot = _D_UPPER
+            for q in quadrants:
+                if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
+                    # One quadrant over tolerance fails the upper bound.
+                    slot = _D_LOWER
+                    break
+            if slot == _D_LOWER:
+                lower = 0.0
+                for q in quadrants:
+                    if q.count:
+                        c = q.lower_cross(dx, dy)
+                        if c > lower:
+                            lower = c
+                if lower <= scaled_eps:
+                    # epsilon falls between the bounds: exact deviation
+                    # over the hull vertices (convexity makes it exact).
+                    exact = 0.0
+                    for q in quadrants:
+                        if q.count:
+                            c = q.exact_cross(dx, dy)
+                            if c > exact:
+                                exact = c
+                    if buffer is not None:
+                        self._audit_exact(anchor, dx, dy, exact)
+                    if exact <= scaled_eps:
+                        slot = _D_EXACT_ACCEPT
+                    else:
+                        slot = _D_EXACT_COMMIT
+        if slot == _D_LOWER or slot == _D_EXACT_COMMIT:
             key = self._split()
-            self._admit(point)
-            return key, _D_LOWER
+            dx = x - key.x
+            dy = y - key.y
+            r = math.hypot(dx, dy)
 
-        # epsilon falls between the bounds: exact deviation over the
-        # per-quadrant hull vertices (convexity makes the hull scan exact).
-        exact = 0.0
-        for q in quadrants:
-            if q.count:
-                c = q.exact_cross(dx, dy)
-                if c > exact:
-                    exact = c
-        if self._buffer is not None:
-            self._audit_exact(anchor, dx, dy, exact)
-        if exact <= scaled_eps:
-            self._admit_rel(point, dx, dy, denom)
-            return None, _D_EXACT_ACCEPT
-        key = self._split()
-        self._admit(point)
-        return key, _D_EXACT_COMMIT
+        retained = self._retained + quadrants[quadrant_index(dx, dy)].add(
+            (dx, dy), polar_angle(dx, dy), r
+        )
+        self._retained = retained
+        if retained > self._retained_peak:
+            self._retained_peak = retained
+        if buffer is not None:
+            buffer.append(src)
+        self._interior += 1
+        self._prev = (x, y, t, src)
+        return key, slot
 
-    def _step_degenerate(self, point: PlanePoint) -> tuple[PlanePoint | None, int]:
-        """Arrival coinciding with the anchor: the path line collapses to a
-        point and every deviation becomes a plain distance to the anchor."""
-        direction: Vec2 = (0.0, 0.0)
+    def _coincident_slot(self) -> int:
+        """Decision slot for an arrival on the anchor itself.
+
+        The path line collapses to a point, so every deviation is a plain
+        distance to the anchor.  Each quadrant's farthest point is one of
+        its significant points, so the lower bound is already the exact
+        answer: no hull scan, and never an exact commit.
+        """
+        quadrants = self._quadrants
         eps = self._epsilon
-        quadrants = self._quadrants
-        upper = 0.0
-        for q in quadrants:
-            if q.count:
-                b = q.upper_bound(direction)
-                if b > upper:
-                    upper = b
-        if upper <= eps:
-            self._admit(point)
-            return None, _D_UPPER
-        lower = 0.0
-        for q in quadrants:
-            if q.count:
-                b = q.lower_bound(direction)
-                if b > lower:
-                    lower = b
-        if lower > eps:
-            key = self._split()
-            self._admit(point)
-            return key, _D_LOWER
-        exact = 0.0
-        for q in quadrants:
-            if q.count:
-                d = q.hull_max_deviation(direction)
-                if d > exact:
-                    exact = d
-        if exact <= eps:
-            self._admit(point)
-            return None, _D_EXACT_ACCEPT
-        key = self._split()
-        self._admit(point)
-        return key, _D_EXACT_COMMIT
+        if max(q.upper_bound((0.0, 0.0)) for q in quadrants) <= eps:
+            return _D_UPPER
+        if max(q.max_r for q in quadrants) > eps:
+            return _D_LOWER
+        return _D_EXACT_ACCEPT
 
     def _audit_exact(
         self, anchor: PlanePoint, dx: float, dy: float, hull_cross: float
@@ -619,256 +618,24 @@ class BQSCompressor(CompressorBase):
                 f"buffered scan (hull={hull_cross!r}, buffer={buffered!r})"
             )
 
-    def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
-        key, slot = self._step(point)
-        committed = [] if key is None else [key]
-        return committed, _DECISION_LABELS[slot]
-
-    def _ingest_many(self, points) -> int:
-        """Batched ingest: integer decision slots, no per-point allocation."""
-        return self._run_batch_stepped(points, self._step, _DECISION_LABELS)
-
-    def _ingest_xyt(self, ts, xs, ys) -> int:
-        """Columnar ingest: zero per-fix objects on the bound-decided paths.
-
-        Mirrors :meth:`_step` with the stream state held in local floats:
-        the anchor is read once per batch (it only changes on a split), and
-        the previous fix is tracked as ``(x, y, t, z)`` floats and
-        materialized as a :class:`PlanePoint` only when a split commits
-        it.  Degenerate arrivals (fix coinciding with the anchor) are
-        rare, so they sync the locals back into the instance and reuse
-        :meth:`_step`'s exact logic.
-
-        ``debug_audit`` mode buffers every point by definition, so it keeps
-        the materializing default path.
-        """
-        if self._buffer is not None:
-            return super()._ingest_xyt(ts, xs, ys)
-        emit = self._emit
-        quadrants = self._quadrants
-        epsilon = self._epsilon
-        hyp = math.hypot
-        pa = polar_angle
-        qi = quadrant_index
-        counters = [0] * len(_DECISION_LABELS)
-        last_t = self._last_t
-        count = start = self._count
-        anchor = self._anchor
-        ax = ay = 0.0
-        if anchor is not None:
-            ax = anchor.x
-            ay = anchor.y
-        prev_obj = self._prev  # non-None means it is in sync with the floats
-        px = py = pt = pz = 0.0
-        if prev_obj is not None:
-            px, py, pt, pz = prev_obj.x, prev_obj.y, prev_obj.t, prev_obj.z
-        interior = self._interior
-        retained = self._retained
-        retained_peak = self._retained_peak
-        try:
-            for t, x, y in zip(ts, xs, ys):
-                if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
-                last_t = t
-                count += 1
-
-                if anchor is None:
-                    point = PlanePoint(x, y, t)
-                    anchor = point
-                    ax = x
-                    ay = y
-                    prev_obj = point
-                    px, py, pt, pz = x, y, t, 0.0
-                    emit(point)
-                    counters[_D_INIT] += 1
-                    continue
-
-                dx = x - ax
-                dy = y - ay
-
-                if interior == 0:
-                    # First fix after the anchor: trivially within bound.
-                    r = hyp(dx, dy)
-                    retained += quadrants[qi(dx, dy)].add(
-                        (dx, dy), pa(dx, dy), r
-                    )
-                    if retained > retained_peak:
-                        retained_peak = retained
-                    interior = 1
-                    px, py, pt, pz = x, y, t, 0.0
-                    prev_obj = None
-                    counters[_D_ACCEPT] += 1
-                    continue
-
-                denom = hyp(dx, dy)
-                if denom == 0.0:
-                    # Rare: sync the locals out, reuse the object-path
-                    # degenerate logic, and reload.
-                    self._anchor = anchor
-                    self._prev = (
-                        prev_obj
-                        if prev_obj is not None
-                        else PlanePoint(px, py, pt, pz)
-                    )
-                    self._interior = interior
-                    self._retained = retained
-                    self._retained_peak = retained_peak
-                    key, slot = self._step_degenerate(PlanePoint(x, y, t))
-                    counters[slot] += 1
-                    if key is not None:
-                        emit(key)
-                    anchor = self._anchor
-                    ax = anchor.x
-                    ay = anchor.y
-                    prev_obj = self._prev
-                    px, py, pt, pz = (
-                        prev_obj.x, prev_obj.y, prev_obj.t, prev_obj.z
-                    )
-                    interior = self._interior
-                    retained = self._retained
-                    retained_peak = self._retained_peak
-                    continue
-                scaled_eps = epsilon * denom
-
-                within = True
-                for q in quadrants:
-                    if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
-                        within = False
-                        break
-                if within:
-                    retained += quadrants[qi(dx, dy)].add(
-                        (dx, dy), pa(dx, dy), denom
-                    )
-                    if retained > retained_peak:
-                        retained_peak = retained
-                    interior += 1
-                    px, py, pt, pz = x, y, t, 0.0
-                    prev_obj = None
-                    counters[_D_UPPER] += 1
-                    continue
-
-                lower = 0.0
-                for q in quadrants:
-                    if q.count:
-                        c = q.lower_cross(dx, dy)
-                        if c > lower:
-                            lower = c
-                if lower > scaled_eps:
-                    slot = _D_LOWER
-                else:
-                    exact = 0.0
-                    for q in quadrants:
-                        if q.count:
-                            c = q.exact_cross(dx, dy)
-                            if c > exact:
-                                exact = c
-                    if exact <= scaled_eps:
-                        retained += quadrants[qi(dx, dy)].add(
-                            (dx, dy), pa(dx, dy), denom
-                        )
-                        if retained > retained_peak:
-                            retained_peak = retained
-                        interior += 1
-                        px, py, pt, pz = x, y, t, 0.0
-                        prev_obj = None
-                        counters[_D_EXACT_ACCEPT] += 1
-                        continue
-                    slot = _D_EXACT_COMMIT
-
-                # Split: the previous fix becomes a key point and the new
-                # anchor; the current fix opens the fresh segment.
-                key = (
-                    prev_obj
-                    if prev_obj is not None
-                    else PlanePoint(px, py, pt, pz)
-                )
-                anchor = key
-                ax = px
-                ay = py
-                for q in quadrants:
-                    q.reset()
-                ndx = x - ax
-                ndy = y - ay
-                retained = quadrants[qi(ndx, ndy)].add(
-                    (ndx, ndy), pa(ndx, ndy), hyp(ndx, ndy)
-                )
-                if retained > retained_peak:
-                    retained_peak = retained
-                interior = 1
-                px, py, pt, pz = x, y, t, 0.0
-                prev_obj = None
-                emit(key)
-                counters[slot] += 1
-        finally:
-            self._last_t = last_t
-            self._count = count
-            self._anchor = anchor
-            if anchor is None:
-                self._prev = None
-            else:
-                self._prev = (
-                    prev_obj
-                    if prev_obj is not None
-                    else PlanePoint(px, py, pt, pz)
-                )
-            self._interior = interior
-            self._retained = retained
-            self._retained_peak = retained_peak
-            stats = self._stats
-            for slot, n in enumerate(counters):
-                if n:
-                    label = _DECISION_LABELS[slot]
-                    stats[label] = stats.get(label, 0) + n
-        return count - start
-
-    def _admit(self, point: PlanePoint) -> None:
-        """Record an accepted point, deriving its anchor-relative offset."""
-        anchor = self._anchor
-        dx = point.x - anchor.x
-        dy = point.y - anchor.y
-        self._admit_rel(point, dx, dy, math.hypot(dx, dy))
-
-    def _admit_rel(self, point: PlanePoint, dx: float, dy: float, r: float) -> None:
-        """Record an accepted point whose anchor-relative offset ``(dx, dy)``
-        and norm ``r`` the caller already computed (the accept hot path)."""
-        retained = self._retained + self._quadrants[quadrant_index(dx, dy)].add(
-            (dx, dy), polar_angle(dx, dy), r
-        )
-        self._retained = retained
-        if retained > self._retained_peak:
-            self._retained_peak = retained
-        if self._buffer is not None:
-            self._buffer.append(point)
-        self._interior += 1
-        self._prev = point
-
     def _split(self) -> PlanePoint:
-        """Commit the previous point as a key point and open a new segment.
+        """Commit the previous fix as a key point and open a new segment.
 
         Every admitted point was verified (by bound or exactly) against the
         path line to the point admitted after it, so the segment ending at
-        ``prev`` honours the error bound; ``prev`` becomes the new anchor.
-        The quadrant structures are reset in place, not reallocated.
+        the previous fix honours the error bound; that fix becomes the new
+        anchor.  The quadrant structures are reset in place, not
+        reallocated.
         """
-        prev = self._prev
-        assert prev is not None
-        self._anchor = prev
-        self._prev = prev
+        key = self._prev_point()
+        self._anchor = key
         self._interior = 0
         self._retained = 0
         for q in self._quadrants:
             q.reset()
         if self._buffer is not None:
             self._buffer.restart_from(())
-        return prev
-
-    def _flush(self) -> list[PlanePoint]:
-        if self._prev is None:
-            return []
-        return [self._prev]
+        return key
 
     def _info(self) -> dict:
         info = super()._info()

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -221,6 +222,8 @@ def format_rows(rows: Sequence[EvaluationRow]) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Print the comparison table; exit status 1 when any error-bounded
+    compressor's audited max deviation exceeds its epsilon."""
     parser = argparse.ArgumentParser(
         description="Compare trajectory compressors on a synthetic track."
     )
@@ -238,7 +241,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         + (f", noise={args.noise} m" if args.noise else "")
     )
     print(format_rows(rows))
-    return 0
+    broken = [r for r in rows if r.error_bounded and not r.within_bound]
+    for r in broken:
+        print(
+            f"{r.algorithm}: max deviation {r.max_deviation!r} exceeds "
+            f"epsilon {r.epsilon!r}",
+            file=sys.stderr,
+        )
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ costing a little compression rate for a large constant-factor speedup and
 strictly bounded memory.
 
 Like BQS, the hot path compares cross products against the tolerance
-pre-scaled by the path-line norm (no per-vertex ``hypot``), reuses the
-quadrant structures across segment splits, and ships a batched
-``_ingest_many`` that counts decisions in integer slots.
+pre-scaled by the path-line norm (no per-vertex ``hypot``) and reuses the
+quadrant structures across segment splits.  The decision is one
+:meth:`FastBQSCompressor._step` on floats, which ``push``, ``push_many``
+and ``push_xyt`` all drive (:class:`~repro.compression.base.
+SteppedCompressor`).
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from __future__ import annotations
 import math
 
 from ..geometry.metrics import DistanceMetric
-from ..geometry.planar import Vec2
 from ..model.point import PlanePoint
-from .base import CompressorBase, Decision
+from .base import Decision, SteppedCompressor
 from .bqs import QuadrantState, polar_angle, quadrant_index
 
 __all__ = ["FastBQSCompressor"]
 
-# Integer decision slots for the batched ingest loop (Fast-BQS records the
+# Integer decision slots returned by ``_step`` (Fast-BQS records the
 # conservative commit under the same upper-bound label as an accept).
 _D_INIT = 0
 _D_ACCEPT = 1
@@ -42,10 +43,11 @@ _D_UPPER = 2
 _DECISION_LABELS = (Decision.INIT, Decision.ACCEPT, Decision.UPPER_BOUND)
 
 
-class FastBQSCompressor(CompressorBase):
+class FastBQSCompressor(SteppedCompressor):
     """Bounding-box-and-angles-only BQS with O(1) state per point."""
 
     name = "fast-bqs"
+    _labels = _DECISION_LABELS
 
     def __init__(
         self,
@@ -64,7 +66,7 @@ class FastBQSCompressor(CompressorBase):
 
     def _reset(self) -> None:
         self._anchor: PlanePoint | None = None
-        self._prev: PlanePoint | None = None
+        self._prev = None
         self._interior = 0
         self._quadrants: list[QuadrantState] = [
             QuadrantState(track_hull=False) for _ in range(4)
@@ -78,225 +80,57 @@ class FastBQSCompressor(CompressorBase):
         The quadrant summaries hold aggregate floats, not points; this is
         the quantity the O(1)-memory test pins down.
         """
-        count = 0
-        if self._anchor is not None:
-            count += 1
-        if self._prev is not None and self._prev is not self._anchor:
-            count += 1
-        return count
+        if self._prev is None:
+            return 0
+        return 1 if self._prev[3] is self._anchor else 2
 
-    def _step(self, point: PlanePoint) -> tuple[PlanePoint | None, int]:
-        """One arrival; shared by the per-point and batched paths."""
+    def _step(
+        self, x: float, y: float, t: float, src: PlanePoint | None
+    ) -> tuple[PlanePoint | None, int]:
+        """One arrival: (committed key point or None, decision slot)."""
         anchor = self._anchor
         if anchor is None:
-            self._anchor = point
-            self._prev = point
-            return point, _D_INIT
+            key = PlanePoint(x, y, t) if src is None else src
+            self._anchor = key
+            self._prev = (x, y, t, key)
+            return key, _D_INIT
 
-        if self._interior == 0:
-            self._admit(point)
-            return None, _D_ACCEPT
-
-        dx = point.x - anchor.x
-        dy = point.y - anchor.y
-        denom = math.hypot(dx, dy)
+        dx = x - anchor.x
+        dy = y - anchor.y
         quadrants = self._quadrants
-        if denom == 0.0:
-            direction: Vec2 = (0.0, 0.0)
-            upper = 0.0
-            for q in quadrants:
-                if q.count:
-                    b = q.upper_bound(direction)
-                    if b > upper:
-                        upper = b
-            if upper <= self._epsilon:
-                self._admit(point)
-                return None, _D_UPPER
+        key = None
+        if not self._interior:
+            slot = _D_ACCEPT
         else:
-            scaled_eps = self._epsilon * denom
-            within = True
-            for q in quadrants:
-                if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
-                    within = False
-                    break
-            if within:
-                # Anchor unchanged: reuse the offset computed for the bound.
-                self._admit_rel(point, dx, dy)
-                return None, _D_UPPER
-
-        # Uncertain or certain violation — without the hulls both are
-        # resolved the same conservative way: split at the previous point.
-        key = self._split()
-        self._admit(point)
-        return key, _D_UPPER
-
-    def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
-        key, slot = self._step(point)
-        committed = [] if key is None else [key]
-        return committed, _DECISION_LABELS[slot]
-
-    def _ingest_many(self, points) -> int:
-        """Batched ingest: integer decision slots, no per-point allocation."""
-        return self._run_batch_stepped(points, self._step, _DECISION_LABELS)
-
-    def _ingest_xyt(self, ts, xs, ys) -> int:
-        """Columnar ingest: zero per-fix objects on the upper-bound path.
-
-        Same structure as the BQS columnar loop, minus everything hull: the
-        anchor is cached in local floats, and the previous fix is tracked
-        as floats and materialized only when a split commits it.
-        Degenerate arrivals reuse :meth:`_step`.
-        """
-        emit = self._emit
-        quadrants = self._quadrants
-        epsilon = self._epsilon
-        hyp = math.hypot
-        pa = polar_angle
-        qi = quadrant_index
-        counters = [0] * len(_DECISION_LABELS)
-        last_t = self._last_t
-        count = start = self._count
-        anchor = self._anchor
-        ax = ay = 0.0
-        if anchor is not None:
-            ax = anchor.x
-            ay = anchor.y
-        prev_obj = self._prev  # non-None means it is in sync with the floats
-        px = py = pt = pz = 0.0
-        if prev_obj is not None:
-            px, py, pt, pz = prev_obj.x, prev_obj.y, prev_obj.t, prev_obj.z
-        interior = self._interior
-        try:
-            for t, x, y in zip(ts, xs, ys):
-                if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
-                last_t = t
-                count += 1
-
-                if anchor is None:
-                    point = PlanePoint(x, y, t)
-                    anchor = point
-                    ax = x
-                    ay = y
-                    prev_obj = point
-                    px, py, pt, pz = x, y, t, 0.0
-                    emit(point)
-                    counters[_D_INIT] += 1
-                    continue
-
-                dx = x - ax
-                dy = y - ay
-
-                if interior == 0:
-                    quadrants[qi(dx, dy)].add((dx, dy), pa(dx, dy))
-                    interior = 1
-                    px, py, pt, pz = x, y, t, 0.0
-                    prev_obj = None
-                    counters[_D_ACCEPT] += 1
-                    continue
-
-                denom = hyp(dx, dy)
-                if denom == 0.0:
-                    # Rare: sync out, reuse the object-path logic, reload.
-                    self._anchor = anchor
-                    self._prev = (
-                        prev_obj
-                        if prev_obj is not None
-                        else PlanePoint(px, py, pt, pz)
-                    )
-                    self._interior = interior
-                    key, slot = self._step(PlanePoint(x, y, t))
-                    counters[slot] += 1
-                    if key is not None:
-                        emit(key)
-                    anchor = self._anchor
-                    ax = anchor.x
-                    ay = anchor.y
-                    prev_obj = self._prev
-                    px, py, pt, pz = (
-                        prev_obj.x, prev_obj.y, prev_obj.t, prev_obj.z
-                    )
-                    interior = self._interior
-                    continue
-
-                scaled_eps = epsilon * denom
+            slot = _D_UPPER
+            r = math.hypot(dx, dy)
+            if r == 0.0:
+                # Arrival on the anchor: the path line collapses to a point
+                # and every deviation is a plain distance to the anchor.
+                within = (
+                    max(q.upper_bound((0.0, 0.0)) for q in quadrants)
+                    <= self._epsilon
+                )
+            else:
+                scaled_eps = self._epsilon * r
                 within = True
                 for q in quadrants:
                     if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
                         within = False
                         break
-                if within:
-                    quadrants[qi(dx, dy)].add((dx, dy), pa(dx, dy))
-                    interior += 1
-                    px, py, pt, pz = x, y, t, 0.0
-                    prev_obj = None
-                    counters[_D_UPPER] += 1
-                    continue
-
-                # Uncertain or violated: split conservatively at prev.
-                key = (
-                    prev_obj
-                    if prev_obj is not None
-                    else PlanePoint(px, py, pt, pz)
-                )
-                anchor = key
-                ax = px
-                ay = py
+            if not within:
+                # Uncertain or certain violation — without the hulls both
+                # are resolved the same conservative way: split at the
+                # previous fix.
+                key = self._prev_point()
+                self._anchor = key
+                self._interior = 0
                 for q in quadrants:
                     q.reset()
-                ndx = x - ax
-                ndy = y - ay
-                quadrants[qi(ndx, ndy)].add((ndx, ndy), pa(ndx, ndy))
-                interior = 1
-                px, py, pt, pz = x, y, t, 0.0
-                prev_obj = None
-                emit(key)
-                counters[_D_UPPER] += 1
-        finally:
-            self._last_t = last_t
-            self._count = count
-            self._anchor = anchor
-            if anchor is None:
-                self._prev = None
-            else:
-                self._prev = (
-                    prev_obj
-                    if prev_obj is not None
-                    else PlanePoint(px, py, pt, pz)
-                )
-            self._interior = interior
-            stats = self._stats
-            for slot, n in enumerate(counters):
-                if n:
-                    label = _DECISION_LABELS[slot]
-                    stats[label] = stats.get(label, 0) + n
-        return count - start
+                dx = x - key.x
+                dy = y - key.y
 
-    def _admit(self, point: PlanePoint) -> None:
-        anchor = self._anchor
-        self._admit_rel(point, point.x - anchor.x, point.y - anchor.y)
-
-    def _admit_rel(self, point: PlanePoint, dx: float, dy: float) -> None:
-        self._quadrants[quadrant_index(dx, dy)].add(
-            (dx, dy), polar_angle(dx, dy)
-        )
+        quadrants[quadrant_index(dx, dy)].add((dx, dy), polar_angle(dx, dy))
         self._interior += 1
-        self._prev = point
-
-    def _split(self) -> PlanePoint:
-        prev = self._prev
-        assert prev is not None
-        self._anchor = prev
-        self._prev = prev
-        self._interior = 0
-        for q in self._quadrants:
-            q.reset()
-        return prev
-
-    def _flush(self) -> list[PlanePoint]:
-        if self._prev is None:
-            return []
-        return [self._prev]
+        self._prev = (x, y, t, src)
+        return key, slot

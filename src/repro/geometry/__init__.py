@@ -1,16 +1,12 @@
-"""Geometry kernels (2-D and 3-D) with no dependencies on the data model."""
+"""Planar geometry kernels with no dependencies on the data model."""
 
-from .metrics import DistanceMetric, deviation, deviation3, max_deviation, max_deviation3
+from .metrics import DistanceMetric, deviation, max_deviation
 from .planar import (
     Vec2,
-    angle_diff,
     angle_of,
-    clip_polygon_halfplane,
     convex_hull,
     cross,
     dot,
-    max_deviation_to_line,
-    max_deviation_to_segment,
     max_distance_to_line_origin,
     min_distance_on_segment_to_line_origin,
     norm,
@@ -19,63 +15,27 @@ from .planar import (
     point_line_distance,
     point_line_distance_origin,
     point_segment_distance,
-    ray_direction,
     rectangle_corners,
-    rotate,
     wedge_box_polygon,
-)
-from .spatial import (
-    Vec3,
-    box_corners3,
-    cross3,
-    dot3,
-    max_deviation_to_line3,
-    norm3,
-    plane_from_points,
-    plane_signed_distance,
-    point_line_distance3,
-    point_line_distance_origin3,
-    point_segment_distance3,
-    segment_plane_intersection,
 )
 
 __all__ = [
     "DistanceMetric",
     "Vec2",
-    "Vec3",
-    "angle_diff",
     "angle_of",
-    "clip_polygon_halfplane",
     "convex_hull",
     "cross",
-    "cross3",
     "deviation",
-    "deviation3",
     "dot",
-    "dot3",
-    "box_corners3",
     "max_deviation",
-    "max_deviation3",
-    "max_deviation_to_line",
-    "max_deviation_to_line3",
-    "max_deviation_to_segment",
     "max_distance_to_line_origin",
     "min_distance_on_segment_to_line_origin",
     "norm",
-    "norm3",
     "normalize_angle",
     "point_in_convex_polygon",
-    "plane_from_points",
-    "plane_signed_distance",
     "point_line_distance",
-    "point_line_distance3",
     "point_line_distance_origin",
-    "point_line_distance_origin3",
     "point_segment_distance",
-    "point_segment_distance3",
-    "ray_direction",
     "rectangle_corners",
-    "rotate",
-    "segment_plane_intersection",
     "wedge_box_polygon",
 ]

@@ -4,8 +4,7 @@ The paper's primary metric is the perpendicular distance from a point to the
 infinite line through a compressed segment's endpoints (Section IV: "For
 simplicity of the proof and presentation, without loss of generality, we use
 point-to-line distance"), with the point-to-line-segment variant explicitly
-supported (Section V-G, Eq. 11).  The 3-D BQS additionally supports the
-time-sensitive metric of Cao et al. by mapping the timestamp onto the z axis.
+supported (Section V-G, Eq. 11).
 
 This module centralises metric selection so compressors, baselines and the
 evaluation auditor all agree on what "deviation" means.
@@ -21,13 +20,8 @@ from .planar import (
     point_line_distance,
     point_segment_distance,
 )
-from .spatial import (
-    Vec3,
-    point_line_distance3,
-    point_segment_distance3,
-)
 
-__all__ = ["DistanceMetric", "deviation", "deviation3", "max_deviation", "max_deviation3"]
+__all__ = ["DistanceMetric", "deviation", "max_deviation"]
 
 
 class DistanceMetric(enum.Enum):
@@ -51,15 +45,6 @@ def deviation(p: Vec2, a: Vec2, b: Vec2, metric: DistanceMetric) -> float:
     raise ValueError(f"unknown metric: {metric!r}")
 
 
-def deviation3(p: Vec3, a: Vec3, b: Vec3, metric: DistanceMetric) -> float:
-    """3-D counterpart of :func:`deviation`."""
-    if metric is DistanceMetric.POINT_TO_LINE:
-        return point_line_distance3(p, a, b)
-    if metric is DistanceMetric.POINT_TO_SEGMENT:
-        return point_segment_distance3(p, a, b)
-    raise ValueError(f"unknown metric: {metric!r}")
-
-
 def max_deviation(
     points: Iterable[Vec2], a: Vec2, b: Vec2, metric: DistanceMetric
 ) -> float:
@@ -67,18 +52,6 @@ def max_deviation(
     best = 0.0
     for p in points:
         d = deviation(p, a, b, metric)
-        if d > best:
-            best = d
-    return best
-
-
-def max_deviation3(
-    points: Iterable[Vec3], a: Vec3, b: Vec3, metric: DistanceMetric
-) -> float:
-    """Maximum 3-D deviation over ``points`` (0 when empty)."""
-    best = 0.0
-    for p in points:
-        d = deviation3(p, a, b, metric)
         if d > best:
             best = d
     return best

@@ -8,7 +8,8 @@ in the same unit as the inputs (metres throughout this library).
 The paper's deviation metric (Section IV) is the distance from a point to
 the *infinite line* through a segment's start and end points; the
 point-to-line-segment variant (Section V-G) is also provided, as are the
-convex-hull and wedge-clipping utilities used by the bound-validation tests.
+convex hulls and the box ∩ wedge clip behind the BQS bounds, and the
+segment / rectangle distances behind the store's range queries.
 """
 
 from __future__ import annotations
@@ -26,22 +27,16 @@ __all__ = [
     "norm",
     "normalize_angle",
     "angle_of",
-    "angle_diff",
-    "rotate",
     "point_line_distance",
     "point_line_distance_origin",
     "point_segment_distance",
     "segments_intersect",
     "segment_segment_distance",
     "segment_rect_distance",
-    "max_deviation_to_line",
-    "max_deviation_to_segment",
     "convex_hull",
     "IncrementalHull",
     "point_in_convex_polygon",
-    "clip_polygon_halfplane",
     "rectangle_corners",
-    "ray_direction",
     "wedge_box_polygon",
     "max_distance_to_line_origin",
     "max_abs_cross",
@@ -77,21 +72,6 @@ def angle_of(p: Vec2) -> float:
     if p[0] == 0.0 and p[1] == 0.0:
         return 0.0
     return normalize_angle(math.atan2(p[1], p[0]))
-
-
-def angle_diff(a: float, b: float) -> float:
-    """Smallest absolute difference between two angles, in ``[0, π]``."""
-    d = abs(math.fmod(a - b, 2.0 * math.pi))
-    if d > math.pi:
-        d = 2.0 * math.pi - d
-    return d
-
-
-def rotate(p: Vec2, theta: float) -> Vec2:
-    """Rotate ``p`` counter-clockwise about the origin by ``theta`` radians."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return (p[0] * c - p[1] * s, p[0] * s + p[1] * c)
 
 
 def point_line_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
@@ -212,35 +192,6 @@ def segment_rect_distance(
         segment_segment_distance(a, b, c11, c01),
         segment_segment_distance(a, b, c01, c00),
     )
-
-
-def max_deviation_to_line(
-    points: Iterable[Vec2], a: Vec2, b: Vec2
-) -> float:
-    """Maximum point-to-line distance over ``points`` (0 for no points).
-
-    This is the paper's deviation ``â(τ)`` for a segment whose interior
-    points are ``points`` and whose compressed representation is the line
-    through ``a`` and ``b``.
-    """
-    best = 0.0
-    for p in points:
-        d = point_line_distance(p, a, b)
-        if d > best:
-            best = d
-    return best
-
-
-def max_deviation_to_segment(
-    points: Iterable[Vec2], a: Vec2, b: Vec2
-) -> float:
-    """Maximum point-to-line-segment distance over ``points``."""
-    best = 0.0
-    for p in points:
-        d = point_segment_distance(p, a, b)
-        if d > best:
-            best = d
-    return best
 
 
 def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
@@ -423,44 +374,6 @@ def point_in_convex_polygon(p: Vec2, polygon: Sequence[Vec2]) -> bool:
     return True
 
 
-def clip_polygon_halfplane(
-    polygon: Sequence[Vec2], a: Vec2, b: Vec2
-) -> list[Vec2]:
-    """Clip a polygon to the half-plane left of the directed line ``a → b``.
-
-    Sutherland–Hodgman single-edge step.  Used by the validation tooling to
-    compute the exact box∩wedge region that Theorems 5.3–5.5 bound.
-    """
-    if not polygon:
-        return []
-    direction = (b[0] - a[0], b[1] - a[1])
-
-    def side(p: Vec2) -> float:
-        return cross(direction, (p[0] - a[0], p[1] - a[1]))
-
-    out: list[Vec2] = []
-    n = len(polygon)
-    for i in range(n):
-        cur = polygon[i]
-        nxt = polygon[(i + 1) % n]
-        cur_in = side(cur) >= -1e-12
-        nxt_in = side(nxt) >= -1e-12
-        if cur_in:
-            out.append(cur)
-        if cur_in != nxt_in:
-            # Edge crosses the clip line: add the intersection point.
-            s_cur = side(cur)
-            s_nxt = side(nxt)
-            t = s_cur / (s_cur - s_nxt)
-            out.append(
-                (
-                    cur[0] + t * (nxt[0] - cur[0]),
-                    cur[1] + t * (nxt[1] - cur[1]),
-                )
-            )
-    return out
-
-
 def rectangle_corners(
     min_x: float, min_y: float, max_x: float, max_y: float
 ) -> list[Vec2]:
@@ -473,18 +386,12 @@ def rectangle_corners(
     ]
 
 
-def ray_direction(theta: float) -> Vec2:
-    """Unit direction vector of the ray from the origin at angle ``theta``."""
-    return (math.cos(theta), math.sin(theta))
-
-
 def _clip_left_of_origin_ray(
     poly: Sequence[Vec2], dx: float, dy: float
 ) -> list[Vec2]:
     """Clip to ``dx*y - dy*x >= -1e-12`` (left of the origin ray along
-    ``(dx, dy)``) — :func:`clip_polygon_halfplane` unrolled for the
-    quadrant-rebuild hot path: the side values are computed once per vertex
-    and there is no per-vertex closure call."""
+    ``(dx, dy)``): one Sutherland–Hodgman step, with each vertex's side
+    value computed once."""
     n = len(poly)
     if n == 0:
         return []
@@ -494,9 +401,9 @@ def _clip_left_of_origin_ray(
     s_cur = dx * cur[1] - dy * cur[0]
     cur_in = s_cur >= -1e-12
     for i in range(n):
-        # Same emission rule as clip_polygon_halfplane (vertex, then the
-        # intersection on its out-edge); the output may start one edge
-        # earlier, which only rotates the cycle — orientation is preserved.
+        # Emit the vertex if inside, then the intersection on its out-edge;
+        # starting at the last vertex only rotates the cycle — orientation
+        # is preserved.
         nxt = poly[i]
         s_nxt = dx * nxt[1] - dy * nxt[0]
         nxt_in = s_nxt >= -1e-12

@@ -14,8 +14,8 @@ for the handful of fixes that become key points.
 The columns are time-ordered per trajectory (the same non-decreasing
 timestamp contract ``push`` enforces) and carry no ``z``: the columnar path
 is the 2-D hot path, and a materialized point gets ``z = 0.0`` — exactly
-what ``PlanePoint(x, y, t)`` defaults to.  Streams that need the 3-D
-variant keep using the object path.
+what ``PlanePoint(x, y, t)`` defaults to.  Streams that carry ``z`` keep
+using the object path, where pushed points pass through as key points.
 """
 
 from __future__ import annotations

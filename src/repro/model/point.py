@@ -70,11 +70,12 @@ class LocationPoint:
 class PlanePoint:
     """A projected sample in a local metric plane.
 
-    ``x`` and ``y`` are metres in the projected frame.  ``z`` carries the
-    third dimension for the 3-D BQS variant: either altitude in metres or a
-    (scaled) timestamp for the time-sensitive error metric.  ``t`` is the
-    POSIX timestamp and is carried through compression untouched so that key
-    points keep their original acquisition times.
+    ``x`` and ``y`` are metres in the projected frame.  ``z`` is a
+    pass-through slot (altitude, say): no compressor reads it, and a pushed
+    point that becomes a key point is kept as the same object, ``z``
+    included; key points built from columns carry ``z == 0.0``.  ``t`` is
+    the POSIX timestamp and is carried through compression untouched so
+    that key points keep their original acquisition times.
     """
 
     x: float

@@ -1,8 +1,10 @@
 """Evaluation harness tests: synthetic data, suite runs, CLI entry point."""
 
+import dataclasses
+
 import pytest
 
-from repro.compression import evaluate_suite, synthetic_track
+from repro.compression import evaluate, evaluate_suite, synthetic_track
 from repro.compression.evaluate import format_rows, main, synthetic_track as st
 
 
@@ -64,3 +66,23 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "400 points" in out
         assert "td-tr" in out
+
+    def test_noisy_run_exits_zero(self, capsys):
+        assert main(["--points", "1500", "--epsilon", "10", "--noise", "2.5"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_exits_one_when_a_bounded_row_breaks_its_bound(self, monkeypatch, capsys):
+        real = evaluate.evaluate_suite
+
+        def broken_suite(points, epsilon, uniform_period=10):
+            rows = real(points, epsilon, uniform_period)
+            bqs = next(r for r in rows if r.algorithm == "bqs")
+            rows[rows.index(bqs)] = dataclasses.replace(bqs, max_deviation=2 * epsilon)
+            return rows
+
+        monkeypatch.setattr(evaluate, "evaluate_suite", broken_suite)
+        assert main(["--points", "300", "--epsilon", "8"]) == 1
+        captured = capsys.readouterr()
+        assert "bqs" in captured.err and "exceeds epsilon" in captured.err
+        # The unbounded uniform sampler never fails the run.
+        assert "uniform" not in captured.err
