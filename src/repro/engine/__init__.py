@@ -13,7 +13,8 @@ batch interface:
 
 :class:`ShardedStreamEngine`
     Multi-core scale-out: hash(device id) → worker process, columnar
-    batches over pipes, identical results to the single-process engine.
+    frames through per-worker shared-memory rings, identical results to
+    the single-process engine.
 
 :class:`GeoStreamEngine`
     GPS-native front-end: ``(device_id, t, lat, lon)`` batches, per-device

@@ -37,7 +37,7 @@ the boundary does not shatter its track into per-fix trajectories.
 
 For multi-core scale-out, :class:`~repro.engine.sharded.
 ShardedStreamEngine` accepts ``geodetic=True`` and builds one
-``GeoStreamEngine`` per worker — lat/lon columns cross the pipe and the
+``GeoStreamEngine`` per worker — lat/lon columns cross the ring and the
 projection work parallelizes with the compression.
 
 Latitude/longitude are validated **at this boundary** (finite, |lat| ≤
@@ -331,7 +331,7 @@ class GeoStreamEngine:
     ) -> int:
         """Fold per-device ``(ts, lats, lons)`` degree columns in without
         regrouping (mirrors :meth:`StreamEngine.push_grouped`; the entry
-        point for the sharded shm transport, whose frames arrive already
+        point for the sharded engine's ring frames, which arrive already
         device-grouped)."""
         for device_id, (ts, lats, lons) in groups.items():
             if not (len(ts) == len(lats) == len(lons)):

@@ -5,31 +5,24 @@ StreamEngine` per worker process and routes every device to exactly one
 worker by a stable hash of its id, so per-device fix order — and therefore
 per-device output — is preserved no matter how batches interleave.
 
-Two data planes, selected with ``transport=``:
+The data plane is a per-worker ``multiprocessing.shared_memory`` ring
+buffer carrying length-prefixed columnar frames (tagged device ids + raw
+little-endian ``f64`` columns, the write-ahead journal's encoding — see
+:mod:`repro.engine.transport`).  The control pipe carries only a tiny
+doorbell ``("frame", seq, offset, length)`` per frame and an ``("ack",
+seq)`` reply, and the worker feeds the decoded per-device groups straight
+into ``push_grouped`` — no pickling, no worker-side regrouping.  Acks are
+pipelined: the parent keeps filling the ring up to ``ack_window``
+outstanding frames while the worker drains, and blocks only when the ring
+or the window is full.  Device ids must be str, int or bytes — the same
+contract the journal imposes; anything else raises
+:class:`~repro.engine.transport.TransportError` before a byte ships.
 
-``"shm"`` (the fast path)
-    Per-worker ``multiprocessing.shared_memory`` ring buffers carry
-    length-prefixed columnar frames (tagged device ids + raw
-    little-endian ``f64`` columns, the write-ahead journal's encoding —
-    see :mod:`repro.engine.transport`); only a tiny doorbell message
-    ``("frame", seq, offset, length)`` crosses the control pipe, and the
-    worker feeds the decoded per-device groups straight into
-    ``push_grouped`` — no pickling, no worker-side regrouping.  Acks are
-    pipelined: the parent keeps filling the ring up to ``ack_window``
-    outstanding frames while the worker drains, and blocks only when the
-    ring or the window is full.
-
-``"pipe"`` (the parity baseline)
-    Fix batches cross the process boundary as pickled columnar
-    ``array('d')`` payloads over ``multiprocessing`` pipes and are
-    regrouped per device worker-side.  Kept as the reference
-    implementation the shm path is digest-checked against.
-
-Both transports produce output bit-identical to the single-process
-engine (the equivalence tests pin this); what sharding buys is CPU
-scale-out — each worker burns its own core.  On a single-core host the
-process hop is overhead, so expect speedups only when ``workers`` ≤
-available cores; the fleet benchmark records both regimes honestly.
+Output is bit-identical to the single-process engine (the equivalence
+tests pin this); what sharding buys is CPU scale-out — each worker burns
+its own core.  On a single-core host the process hop is overhead, so
+expect speedups only when ``workers`` ≤ available cores; the fleet
+benchmark records both regimes honestly.
 
 ``compressor_factory`` must be picklable (a module-level function or a
 ``functools.partial`` over one), since it is shipped to the workers once at
@@ -49,13 +42,11 @@ allows up to N restarts per shard, where the parent respawns the worker,
 the worker rebuilds its pre-crash state by replaying its shard journal
 (``StreamEngine.recover``), and the parent re-drives the batches the
 dead worker never journaled from its pending-acknowledgement buffer.
-Supervised pushes are sequence-numbered and acknowledged after they are
-journaled, so the buffer stays small and the re-drive is exact: no
-acknowledged fix lost, none applied twice.  The shm transport reuses the
-same machinery frame for frame — every frame is one journal record, the
-pending buffer holds the encoded frame bytes, and a respawn resets the
-ring and re-writes the unacknowledged tail — so ``journal_dir`` /
-``restart_workers`` semantics are transport-independent.
+Frames are sequence-numbered and acknowledged after they are journaled,
+so the buffer stays small and the re-drive is exact: no acknowledged fix
+lost, none applied twice.  Every frame is one journal record, the pending
+buffer holds the encoded frame bytes, and a respawn resets the ring and
+re-writes the unacknowledged tail.
 """
 
 from __future__ import annotations
@@ -64,15 +55,21 @@ import multiprocessing
 import os
 import time
 import zlib
-from array import array
 from typing import Callable, Dict, Iterable, List, Sequence
 
 from ..model.trajectory import CompressedTrajectory
-from .core import DeviceId, Fix, StreamEngine
+from .core import (
+    DeviceId,
+    Fix,
+    StreamEngine,
+    group_fix_columns,
+    group_fix_stream,
+)
 from .sanitize import FeedReport, SanitizePolicy
 from .transport import (
     FRAME_HEADER_BYTES,
     MIN_RING_BYTES,
+    RingReader,
     RingWriter,
     TransportError,
     encode_payloads,
@@ -84,8 +81,6 @@ __all__ = [
     "TransportError",
     "shard_of",
 ]
-
-TRANSPORTS = ("pipe", "shm")
 
 #: Cap on retained per-frame ack-latency samples (enough for any bench
 #: run; pathological frame counts stop sampling, not ingesting).
@@ -175,18 +170,17 @@ def _worker_main(
     sink_factory,
     shard,
     geodetic,
-    transport="pipe",
-    ring_name=None,
+    ring_name,
     journal_dir=None,
     journal_fsync=False,
     supervised=False,
     recover=False,
 ) -> None:
-    """Worker loop: apply columnar pushes, answer ``finish`` with results.
+    """Worker loop: apply ring frames, answer ``finish`` with results.
 
-    On an ingestion error the worker reports once, then keeps draining
-    messages (discarding further pushes) so the parent never blocks on a
-    full pipe; the error is re-raised parent-side at ``finish_all``.
+    On an ingestion error the worker reports once, then keeps acking
+    doorbells (discarding their frames) so the parent never blocks on a
+    full ring; the error is re-raised parent-side at ``finish_all``.
 
     When a ``sink_factory`` is configured, the worker owns its shard's
     sink: built here (sinks — a store handle, a socket — generally cannot
@@ -201,20 +195,18 @@ def _worker_main(
     the ``push_columns`` / ``push_grouped`` shapes, so the message
     protocol is engine-agnostic.
 
-    Message tags: ``push`` carries pickled columns (pipe transport),
-    ``frame`` names a region of the shared ring (shm transport) that is
+    Message tags: ``frame`` names a region of the shared ring that is
     decoded in place and fed through ``push_grouped``; every ``frame`` is
     acknowledged with ``("ack", seq)`` once applied (after its journal
     frame landed, when journaling) — the ack releases the parent's ring
     space and, under supervision, prunes the pending re-drive buffer.
 
     With ``journal_dir`` the worker's engine journals into its own
-    per-shard directory.  ``supervised`` switches the protocol to
-    sequence-numbered pushes: the worker opens with ``("ready",
-    journal_seq)`` (after replaying the shard journal when ``recover``),
-    and acknowledges every push once it is journaled — the parent's
-    restart logic prunes its pending buffer on those acks and re-drives
-    the unacknowledged tail after a respawn.
+    per-shard directory.  With ``supervised`` the worker opens with
+    ``("ready", journal_seq)`` (after replaying the shard journal when
+    ``recover``) — the parent maps its frame seqs onto journal seqs with
+    it, prunes its pending buffer on acks, and re-drives the
+    unacknowledged tail after a respawn.
     """
     failure: str | None = None
     sink = None
@@ -255,10 +247,7 @@ def _worker_main(
                 )
         else:
             engine = engine_cls(compressor_factory, sink=sink, **engine_kwargs)
-        if transport == "shm":
-            from .transport import RingReader
-
-            reader = RingReader(ring_name)
+        reader = RingReader(ring_name)
     except Exception as exc:
         failure = f"{type(exc).__name__}: {exc}"
         engine = None
@@ -271,32 +260,19 @@ def _worker_main(
         while True:
             message = conn.recv()
             tag = message[0]
-            if tag == "push":
-                if supervised:
-                    seq, ids, ts, xs, ys = message[1:]
-                else:
-                    seq, (ids, ts, xs, ys) = None, message[1:]
-                if failure is None:
-                    try:
-                        engine.push_columns(ids, ts, xs, ys)
-                    except Exception as exc:  # reported, not fatal to the pipe
-                        failure = f"{type(exc).__name__}: {exc}"
-                if supervised:
-                    # Ack after the journal frame landed (the engine
-                    # journals write-ahead, so even a batch that raised
-                    # mid-ingest is journaled before the error).
-                    conn.send(("ack", seq))
-            elif tag == "frame":
+            if tag == "frame":
                 seq, offset, length = message[1], message[2], message[3]
                 if failure is None:
                     try:
                         groups = reader.read(seq, offset, length)
                         engine.push_grouped(groups)
-                    except Exception as exc:
+                    except Exception as exc:  # reported at finish, not fatal
                         failure = f"{type(exc).__name__}: {exc}"
-                # Always acked — even after a failure the parent's ring
-                # accounting needs the space back (the drain contract the
-                # pipe transport meets by consuming pushes).
+                # Always acked, after the journal frame landed (the engine
+                # journals write-ahead, so even a frame that raised
+                # mid-ingest is journaled before the error) — and even
+                # after a failure, since the parent's ring accounting
+                # needs the space back.
                 conn.send(("ack", seq))
             elif tag == "finish":
                 if failure is None:
@@ -351,20 +327,22 @@ class ShardedStreamEngine:
     difference from the in-process engine: this engine is one-shot — its
     workers exit at :meth:`finish_all`, so pushing afterwards raises
     ``RuntimeError`` (the in-process engine treats ``finish_all`` as a
-    checkpoint and keeps accepting batches).  Use as a context manager, or
-    call :meth:`finish_all` / :meth:`close` explicitly.
+    checkpoint and keeps accepting batches), and so does pushing after
+    :meth:`close`.  Use as a context manager, or call :meth:`finish_all` /
+    :meth:`close` explicitly.
 
-    ``transport`` selects the data plane: ``"shm"`` ships frames through
-    per-worker shared-memory rings of ``ring_bytes`` each with up to
-    ``ack_window`` frames in flight per shard (see the module docstring);
-    ``"pipe"`` (default) pickles columns over the control pipe.  The shm
-    transport requires str/int/bytes device ids — the same contract the
-    write-ahead journal imposes — and raises :class:`TransportError` for
-    anything else.  Output is bit-identical across transports; one caveat:
-    a single batch larger than ``ring_bytes`` is split into several
-    frames, and each frame is its own engine push, which batch-boundary
-    policies (``idle_timeout``) observe.  Size the ring above the batch
-    size (the defaults are comfortable) if that matters.
+    Frames cross per-worker shared-memory rings of ``ring_bytes`` each,
+    with up to ``ack_window`` frames in flight per shard (see the module
+    docstring); ``transport`` names that data plane and accepts only
+    ``"shm"``.  Device ids must be str, int or bytes — the same contract
+    the write-ahead journal imposes — and an id that cannot cross the ring
+    (another type, or one too long to fit a one-fix frame in
+    ``ring_bytes``) raises :class:`TransportError` before the push ships
+    anything.  One caveat: a single batch larger than ``ring_bytes`` is
+    split into several frames, and each frame is its own engine push,
+    which batch-boundary policies (``idle_timeout``) observe.  Size the
+    ring above the batch size (the defaults are comfortable) if that
+    matters.
 
     ``journal_dir`` makes every worker journal its accepted batches into
     ``journal_dir/shard-%04d`` (see :class:`~repro.engine.journal.
@@ -393,7 +371,7 @@ class ShardedStreamEngine:
         journal_dir: str | os.PathLike | None = None,
         journal_fsync: bool = False,
         restart_workers: int = 0,
-        transport: str = "pipe",
+        transport: str = "shm",
         ring_bytes: int = 4 << 20,
         ack_window: int = 32,
     ) -> None:
@@ -408,19 +386,16 @@ class ShardedStreamEngine:
                 "restart_workers requires journal_dir: a respawned worker "
                 "rebuilds its state from its shard journal"
             )
-        if transport not in TRANSPORTS:
+        if transport != "shm":
             raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
+                f"transport must be 'shm' (the only data plane), got {transport!r}"
             )
-        if transport == "shm":
-            if ring_bytes < MIN_RING_BYTES:
-                raise ValueError(
-                    f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes!r}"
-                )
-            if ack_window < 1:
-                raise ValueError(
-                    f"ack_window must be >= 1, got {ack_window!r}"
-                )
+        if ring_bytes < MIN_RING_BYTES:
+            raise ValueError(
+                f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes!r}"
+            )
+        if ack_window < 1:
+            raise ValueError(f"ack_window must be >= 1, got {ack_window!r}")
         ctx = mp_context if mp_context is not None else multiprocessing.get_context()
         # SanitizePolicy is a frozen scalar dataclass, so it ships to the
         # workers in the start-up pickle like the compressor factory.
@@ -431,7 +406,6 @@ class ShardedStreamEngine:
             "policy": policy,
         }
         self.workers = workers
-        self.transport = transport
         self._ack_window = ack_window
         self._conns = []
         self._procs = []
@@ -456,34 +430,27 @@ class ShardedStreamEngine:
         #: :class:`ShardCrashError` reports).
         self._shard_devices: List[set] = [set() for _ in range(workers)]
         #: device id → shard index, filled on first sight: crc32 hashing
-        #: (and, for shm, id encoding) happens once per device, not once
-        #: per batch.  Bounded by the number of distinct devices pushed.
+        #: (and id encoding) happens once per device, not once per batch.
+        #: Bounded by the number of distinct devices pushed.
         self._route: Dict[DeviceId, int] = {}
-        self._id_cache: Dict[DeviceId, bytes] | None = (
-            {} if transport == "shm" else None
-        )
-        #: Supervised mode: per-shard batch sequence, unacknowledged
-        #: batches (seq → columns for pipe, seq → frame bytes for shm,
-        #: insertion-ordered), and the journal seq each worker started
-        #: from (maps parent seq ↔ journal seq).  The shm transport
-        #: sequences frames in both modes (acks drive its ring
-        #: accounting); the pending buffer still exists only under
-        #: supervision.
+        self._id_cache: Dict[DeviceId, bytes] = {}
+        #: Per-shard frame sequence (acks drive the ring accounting), the
+        #: unacknowledged frames (seq → frame bytes, insertion-ordered;
+        #: supervised mode only), and the journal seq each worker started
+        #: from (maps parent seq ↔ journal seq).
         self._seq = [0] * workers
         self._pending: List[Dict[int, tuple]] | None = (
             [{} for _ in range(workers)] if self._supervised else None
         )
         self._shard_base = [0] * workers
-        self._rings: List[RingWriter | None] | None = None
+        self._rings: List[RingWriter] = []
         self._stats = [_ShardStats() for _ in range(workers)]
         self._send_times: List[Dict[int, float]] = [
             {} for _ in range(workers)
         ]
         try:
-            if transport == "shm":
-                self._rings = [None] * workers
-                for shard in range(workers):
-                    self._rings[shard] = RingWriter(ring_bytes)
+            for shard in range(workers):
+                self._rings.append(RingWriter(ring_bytes))
             for shard in range(workers):
                 self._conns.append(None)
                 self._procs.append(None)
@@ -504,9 +471,6 @@ class ShardedStreamEngine:
             journal_dir,
             journal_fsync,
         ) = self._spawn_args
-        ring_name = None
-        if self._rings is not None and self._rings[shard] is not None:
-            ring_name = self._rings[shard].name
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -517,8 +481,7 @@ class ShardedStreamEngine:
                 sink_factory,
                 shard,
                 geodetic,
-                self.transport,
-                ring_name,
+                self._rings[shard].name,
                 journal_dir,
                 journal_fsync,
                 self._supervised,
@@ -573,52 +536,14 @@ class ShardedStreamEngine:
     def push_batch(self, fixes: Iterable[Fix]) -> int:
         """Route an interleaved ``(device_id, t, x, y)`` batch to the shards.
 
-        Groups by shard directly from the tuple stream (one pass), the same
-        way :meth:`StreamEngine.push_batch` groups by device.
+        Groups per device in one pass, the same way
+        :meth:`StreamEngine.push_batch` does, so each worker receives its
+        devices' columns ready to ingest.
         """
-        workers = self.workers
-        route = self._route
-        if self.transport == "shm":
-            shards: Dict[int, Dict[DeviceId, tuple]] = {}
-            groups: Dict[DeviceId, tuple] = {}
-            n = 0
-            for device_id, t, x, y in fixes:
-                cols = groups.get(device_id)
-                if cols is None:
-                    shard = route.get(device_id)
-                    if shard is None:
-                        shard = route[device_id] = shard_of(device_id, workers)
-                    cols = groups[device_id] = (
-                        array("d"),
-                        array("d"),
-                        array("d"),
-                    )
-                    shards.setdefault(shard, {})[device_id] = cols
-                    self._shard_devices[shard].add(device_id)
-                cols[0].append(t)
-                cols[1].append(x)
-                cols[2].append(y)
-                n += 1
-            self._send_frames(shards)
-            return n
-        shards_cols: Dict[int, tuple[list, array, array, array]] = {}
-        get = shards_cols.get
-        n = 0
-        for device_id, t, x, y in fixes:
-            shard = route.get(device_id)
-            if shard is None:
-                shard = route[device_id] = shard_of(device_id, workers)
-            payload = get(shard)
-            if payload is None:
-                payload = ([], array("d"), array("d"), array("d"))
-                shards_cols[shard] = payload
-            payload[0].append(device_id)
-            payload[1].append(t)
-            payload[2].append(x)
-            payload[3].append(y)
-            n += 1
-        self._send_shards(shards_cols)
-        return n
+        self._ensure_not_finished()
+        groups = group_fix_stream(fixes)
+        self._send_frames(groups)
+        return sum(len(cols[0]) for cols in groups.values())
 
     def push_columns(
         self,
@@ -628,57 +553,9 @@ class ShardedStreamEngine:
         ys: Sequence[float],
     ) -> int:
         """Route a columnar interleaved batch to the shards."""
-        n = len(device_ids)
-        if not (len(ts) == len(xs) == len(ys) == n):
-            raise ValueError(
-                "column length mismatch: "
-                f"ids={n}, ts={len(ts)}, xs={len(xs)}, ys={len(ys)}"
-            )
-        workers = self.workers
-        route = self._route
-        if self.transport == "shm":
-            # Group per device up front (first-appearance order — the same
-            # order the workers' own regrouping would produce), so the
-            # frame encoder writes columns straight into the ring and the
-            # worker skips regrouping entirely.
-            shards: Dict[int, Dict[DeviceId, tuple]] = {}
-            groups: Dict[DeviceId, tuple] = {}
-            for i in range(n):
-                device_id = device_ids[i]
-                cols = groups.get(device_id)
-                if cols is None:
-                    shard = route.get(device_id)
-                    if shard is None:
-                        shard = route[device_id] = shard_of(device_id, workers)
-                    cols = groups[device_id] = (
-                        array("d"),
-                        array("d"),
-                        array("d"),
-                    )
-                    shards.setdefault(shard, {})[device_id] = cols
-                    self._shard_devices[shard].add(device_id)
-                cols[0].append(ts[i])
-                cols[1].append(xs[i])
-                cols[2].append(ys[i])
-            self._send_frames(shards)
-            return n
-        shards_cols: Dict[int, tuple[list, array, array, array]] = {}
-        get = shards_cols.get
-        for i in range(n):
-            device_id = device_ids[i]
-            shard = route.get(device_id)
-            if shard is None:
-                shard = route[device_id] = shard_of(device_id, workers)
-            payload = get(shard)
-            if payload is None:
-                payload = ([], array("d"), array("d"), array("d"))
-                shards_cols[shard] = payload
-            payload[0].append(device_id)
-            payload[1].append(ts[i])
-            payload[2].append(xs[i])
-            payload[3].append(ys[i])
-        self._send_shards(shards_cols)
-        return n
+        self._ensure_not_finished()
+        self._send_frames(group_fix_columns(device_ids, ts, xs, ys))
+        return len(device_ids)
 
     def _ensure_not_finished(self) -> None:
         if self._finished:
@@ -686,54 +563,39 @@ class ShardedStreamEngine:
             # calling code), not a data-plane failure a caller should
             # route on — a deliberately untyped error.
             # repro: ignore[RA04] lifecycle misuse by the caller, not a routable data-plane failure
-            raise RuntimeError("finish_all() already called")
-
-    # -- pipe data plane -----------------------------------------------------
-
-    def _send_shards(self, shards) -> None:
-        self._ensure_not_finished()
-        if self._supervised:
-            # Drain every shard's acks first so the reply pipes never
-            # back up no matter how batches distribute across shards.
-            for shard in range(self.workers):
-                self._drain_queued_acks(shard)
-        for shard, (ids, ts, xs, ys) in shards.items():
-            self._shard_devices[shard].update(ids)
-            stats = self._stats[shard]
-            stats.frames += 1
-            stats.fixes += len(ids)
-            if self._supervised:
-                seq = self._seq[shard] + 1
-                self._seq[shard] = seq
-                self._pending[shard][seq] = (ids, ts, xs, ys)
-                self._send_times[shard][seq] = time.perf_counter()
-                try:
-                    self._conns[shard].send(("push", seq, ids, ts, xs, ys))
-                except (BrokenPipeError, OSError):
-                    # The batch is already in the pending buffer; the
-                    # restart re-drives it with everything else unacked.
-                    self._restart_shard(shard)
-            else:
-                try:
-                    self._conns[shard].send(("push", ids, ts, xs, ys))
-                except (BrokenPipeError, OSError) as exc:
-                    raise self._crash_error(shard, cause=exc) from exc
-
-    # -- shm data plane ------------------------------------------------------
-
-    def _send_frames(self, shards: Dict[int, Dict[DeviceId, tuple]]) -> None:
-        self._ensure_not_finished()
-        for shard in range(self.workers):
-            self._drain_queued_acks(shard)
-        for shard, groups in shards.items():
-            stats = self._stats[shard]
-            ring = self._rings[shard]
-            payloads = encode_payloads(
-                groups, ring.max_payload, self._id_cache
+            raise RuntimeError(
+                "sharded engine is closed: finish_all() or close() already called"
             )
-            # Counted only after the whole batch encoded — a rejected id
-            # (TransportError) ships nothing, so it must account nothing.
-            stats.fixes += sum(len(cols[0]) for cols in groups.values())
+
+    # -- ring data plane -----------------------------------------------------
+
+    def _send_frames(self, groups: Dict[DeviceId, tuple]) -> None:
+        """Route per-device ``(ts, xs, ys)`` groups to their shards and
+        ship each shard's frames through its ring.
+
+        Every shard's frames are encoded before the first one ships, so a
+        device id that cannot cross the ring (:class:`TransportError`)
+        rejects the whole push with nothing shipped or accounted.
+        """
+        workers = self.workers
+        route = self._route
+        shards: Dict[int, Dict[DeviceId, tuple]] = {}
+        for device_id, cols in groups.items():
+            shard = route.get(device_id)
+            if shard is None:
+                shard = route[device_id] = shard_of(device_id, workers)
+                self._shard_devices[shard].add(device_id)
+            shards.setdefault(shard, {})[device_id] = cols
+        max_payload = self._rings[0].max_payload
+        encoded = []
+        for shard, shard_groups in shards.items():
+            payloads = encode_payloads(shard_groups, max_payload, self._id_cache)
+            n_fixes = sum(len(cols[0]) for cols in shard_groups.values())
+            encoded.append((shard, payloads, n_fixes))
+        for shard in range(workers):
+            self._drain_queued_acks(shard)
+        for shard, payloads, n_fixes in encoded:
+            self._stats[shard].fixes += n_fixes
             for payload in payloads:
                 seq = self._seq[shard] + 1
                 self._seq[shard] = seq
@@ -791,14 +653,13 @@ class ShardedStreamEngine:
         if message[0] == "ack":
             self._on_ack(shard, message[1])
 
-    # -- shared ack plumbing -------------------------------------------------
+    # -- acks and supervision ------------------------------------------------
 
     def _on_ack(self, shard: int, seq: int) -> None:
         """One ack: free ring space, prune pending, record latency."""
         stats = self._stats[shard]
         stats.acks += 1
-        if self._rings is not None and self._rings[shard] is not None:
-            self._rings[shard].release(seq)
+        self._rings[shard].release(seq)
         if self._pending is not None:
             self._pending[shard].pop(seq, None)
         sent = self._send_times[shard].pop(seq, None)
@@ -806,10 +667,7 @@ class ShardedStreamEngine:
             stats.ack_lat.append(time.perf_counter() - sent)
 
     def _drain_queued_acks(self, shard: int) -> None:
-        """Apply any queued acks without blocking (no-op for the
-        unsupervised pipe transport, which never acks)."""
-        if not (self._supervised or self.transport == "shm"):
-            return
+        """Apply any queued acks without blocking."""
         conn = self._conns[shard]
         try:
             while conn.poll(0):
@@ -820,7 +678,7 @@ class ShardedStreamEngine:
             self._restart_shard(shard)
 
     def _restart_shard(self, shard: int) -> None:
-        """Respawn a dead worker and re-drive its unacknowledged batches.
+        """Respawn a dead worker and re-drive its unacknowledged frames.
 
         Raises the :class:`ShardCrashError` instead when supervision is
         off or the shard's restart budget is spent.
@@ -839,29 +697,21 @@ class ShardedStreamEngine:
             self._conns[shard].close()
         except OSError:
             pass
-        if self._rings is not None and self._rings[shard] is not None:
-            # The ring's unacked contents died with the worker; pending
-            # frames are re-written below, so the ring restarts empty.
-            self._rings[shard].reset()
-            self._send_times[shard].clear()
+        # The ring's unacked contents died with the worker; pending frames
+        # are re-written below, so the ring restarts empty.
+        self._rings[shard].reset()
+        self._send_times[shard].clear()
         self._spawn_worker(shard, recover=True)
         journal_seq = self._handshake(shard)
         delivered = journal_seq - self._shard_base[shard]
         pending = self._pending[shard]
         for seq in [s for s in pending if s <= delivered]:
             del pending[seq]
-        if self.transport == "shm":
-            epoch = self._restarts[shard]
-            for seq, payload in sorted(pending.items()):
-                self._write_and_doorbell(shard, seq, payload)
-                if self._restarts[shard] != epoch:
-                    return  # a nested restart re-drove the rest
-        else:
-            for seq, (ids, ts, xs, ys) in sorted(pending.items()):
-                try:
-                    self._conns[shard].send(("push", seq, ids, ts, xs, ys))
-                except (BrokenPipeError, OSError):
-                    return self._restart_shard(shard)
+        epoch = self._restarts[shard]
+        for seq, payload in sorted(pending.items()):
+            self._write_and_doorbell(shard, seq, payload)
+            if self._restarts[shard] != epoch:
+                return  # a nested restart re-drove the rest
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -931,16 +781,14 @@ class ShardedStreamEngine:
         """Per-shard data-plane counters (valid after :meth:`finish_all`,
         and live during ingest).
 
-        Every transport reports ``frames`` (messages sent), ``fixes``
-        routed, ``utilization`` (this shard's share of all routed fixes —
-        the load-balance view), ``restarts``, and — whenever acks flow
-        (shm always, pipe under supervision) — ``acks`` plus
-        send-to-ack latency percentiles in microseconds.  The shm
-        transport adds ring accounting: ``bytes`` through the ring,
-        ``max_in_flight`` frames, and how often the parent blocked on a
-        full ring (``ring_waits``) or an exhausted ack window
-        (``window_waits``), with the total blocked wall in
-        ``ack_wait_seconds``.
+        Each shard reports ``frames`` shipped, ``fixes`` routed,
+        ``utilization`` (this shard's share of all routed fixes — the
+        load-balance view), ``restarts``, ``acks`` plus send-to-ack
+        latency percentiles in microseconds, and ring accounting:
+        ``bytes`` through the ring, ``max_in_flight`` frames, and how
+        often the parent blocked on a full ring (``ring_waits``) or an
+        exhausted ack window (``window_waits``), with the total blocked
+        wall in ``ack_wait_seconds``.  ``transport`` is always ``"shm"``.
         """
         total_fixes = sum(s.fixes for s in self._stats)
         out = []
@@ -949,7 +797,7 @@ class ShardedStreamEngine:
             out.append(
                 {
                     "shard": shard,
-                    "transport": self.transport,
+                    "transport": "shm",
                     "frames": s.frames,
                     "fixes": s.fixes,
                     "bytes": s.bytes,
@@ -984,7 +832,12 @@ class ShardedStreamEngine:
         return dict(self._device_reports)
 
     def close(self) -> None:
-        """Tear the workers down (idempotent; called by ``finish_all``)."""
+        """Tear the workers down (idempotent; called by ``finish_all``).
+
+        The engine is finished afterwards: a later push or
+        :meth:`finish_all` raises ``RuntimeError``.
+        """
+        self._finished = True
         for conn in self._conns:
             if conn is None:
                 continue
@@ -1000,11 +853,9 @@ class ShardedStreamEngine:
             proc.join(timeout=5.0)
         self._conns = []
         self._procs = []
-        if self._rings is not None:
-            for ring in self._rings:
-                if ring is not None:
-                    ring.close(unlink=True)
-            self._rings = None
+        for ring in self._rings:
+            ring.close(unlink=True)
+        self._rings = []
 
     def __enter__(self) -> "ShardedStreamEngine":
         return self

@@ -1,14 +1,12 @@
-"""Shared-memory ring transport for the sharded engine's data plane.
+"""Shared-memory ring transport: the sharded engine's data plane.
 
-The pipe transport pickles every columnar batch through a
-``multiprocessing.Pipe``; this module is the zero-copy alternative: the
-parent writes length-prefixed columnar frames straight into a per-worker
-``multiprocessing.shared_memory`` ring buffer, and only a tiny doorbell
-message ``("frame", seq, offset, length)`` crosses the control pipe.  The
-worker decodes the frame in place (one copy from the ring into ``array``
-columns, no pickle) and replies ``("ack", seq)``, which both releases the
-ring space parent-side and — under supervision — prunes the pending
-re-drive buffer.
+The parent writes length-prefixed columnar frames straight into a
+per-worker ``multiprocessing.shared_memory`` ring buffer, and only a tiny
+doorbell message ``("frame", seq, offset, length)`` crosses the control
+pipe.  The worker decodes the frame in place (one copy from the ring into
+``array`` columns, no pickle) and replies ``("ack", seq)``, which both
+releases the ring space parent-side and — under supervision — prunes the
+pending re-drive buffer.
 
 Frame layout in the ring (all integers little-endian)::
 
@@ -27,7 +25,7 @@ The payload reuses the write-ahead journal's framing idioms byte for byte
 (:func:`~repro.engine.journal._append_device_id` for ids, raw
 little-endian ``f64`` columns), so the same str/int/bytes device-id
 contract applies — a device id that cannot be journaled cannot cross the
-shm transport either.
+ring either, and neither can one too long to fit a one-fix frame.
 
 Space accounting is single-producer/single-consumer and entirely
 parent-side: the :class:`RingWriter` keeps an in-flight deque of
@@ -111,7 +109,13 @@ def _read_column(view, pos: int, n: int) -> Tuple[array, int]:
 
 def _group_blobs(device_id, ts, xs, ys, budget: int, id_cache) -> Iterable[Tuple[bytes, int]]:
     """Encode one device's columns as ``(blob, n_fixes)`` chunks, splitting
-    the columns so every blob fits ``budget`` bytes."""
+    the columns so every blob fits ``budget`` bytes.
+
+    Raises :class:`TransportError` when the id cannot be encoded, or when
+    it is so long that even a one-fix blob would overrun ``budget`` — a
+    frame that can never fit the ring would otherwise wait forever for
+    space.
+    """
     id_blob = id_cache.get(device_id) if id_cache is not None else None
     if id_blob is None:
         buf = bytearray()
@@ -120,14 +124,20 @@ def _group_blobs(device_id, ts, xs, ys, budget: int, id_cache) -> Iterable[Tuple
         except Exception as exc:
             raise TransportError(
                 f"device id {device_id!r} cannot cross the shm transport "
-                f"({exc}); use transport='pipe' for exotic id types"
+                f"({exc}); device ids must be str, int or bytes"
             ) from exc
         id_blob = bytes(buf)
         if id_cache is not None:
             id_cache[device_id] = id_blob
     n = len(ts)
     # id + uvarint count + 24 bytes per fix must fit the budget.
-    max_fixes = max(1, (budget - len(id_blob) - 5) // 24)
+    max_fixes = (budget - len(id_blob) - 5) // 24
+    if max_fixes < 1:
+        raise TransportError(
+            f"device id {device_id!r} encodes to {len(id_blob)} bytes, too "
+            f"long for a one-fix frame in a {budget}-byte budget; raise "
+            "ring_bytes or shorten the id"
+        )
     start = 0
     while start < n:
         stop = min(n, start + max_fixes)

@@ -482,18 +482,18 @@ def run_sharded_transport_check(
     workers: int = 2,
     kill: bool = True,
 ) -> dict:
-    """Digest-pin the sharded transports against single-process output.
+    """Digest-pin the sharded engine against single-process output.
 
-    Runs the same seeded fleet three ways — single-process
+    Runs the same seeded fleet twice — single-process
     :class:`~repro.engine.core.StreamEngine`, then a supervised
-    :class:`~repro.engine.sharded.ShardedStreamEngine` per transport
-    (``pipe`` and ``shm``), each with a worker SIGKILLed mid-stream and
-    rebuilt from its shard journal — and asserts every run's
-    :func:`~repro.testing.workloads.fleet_digest` is identical.  A digest
-    split between the transports, or between either transport and the
-    single-process reference, is exactly the drift the CI smoke exists to
-    catch.  Returns a report with the digest, per-transport restart
-    counts, and per-transport transport stats.
+    :class:`~repro.engine.sharded.ShardedStreamEngine` on its
+    shared-memory rings with a worker SIGKILLed mid-stream and rebuilt
+    from its shard journal — and asserts both runs'
+    :func:`~repro.testing.workloads.fleet_digest` are identical.  A digest
+    split between the sharded run and the single-process reference is
+    exactly the drift the CI smoke exists to catch.  Returns a report with
+    the digest and, under ``transports["shm"]``, the restart count and
+    transport stats.
     """
     import time as _time
 
@@ -508,45 +508,40 @@ def run_sharded_transport_check(
         engine.push_columns(*batch)
     reference = fleet_digest(engine.finish_all())
 
-    report = {
+    half = max(1, len(batches) // 2)
+    sharded = ShardedStreamEngine(
+        factory,
+        workers=workers,
+        journal_dir=base / "wal-shm",
+        restart_workers=2,
+    )
+    try:
+        for batch in batches[:half]:
+            sharded.push_columns(*batch)
+        if kill:
+            os.kill(sharded._procs[seed % workers].pid, signal.SIGKILL)
+            _time.sleep(0.3)
+        for batch in batches[half:]:
+            sharded.push_columns(*batch)
+        digest = fleet_digest(sharded.finish_all())
+    finally:
+        sharded.close()
+    restarts = sum(sharded._restarts)
+    assert not kill or restarts >= 1, "worker was killed but never restarted"
+    assert digest == reference, (
+        f"sharded digest {digest} diverged from single-process {reference}"
+    )
+    return {
         "digest": reference,
         "killed": bool(kill),
-        "transports": {},
+        "transports": {
+            "shm": {
+                "digest": digest,
+                "restarts": restarts,
+                "stats": sharded.transport_stats(),
+            }
+        },
     }
-    half = max(1, len(batches) // 2)
-    for transport in ("pipe", "shm"):
-        sharded = ShardedStreamEngine(
-            factory,
-            workers=workers,
-            transport=transport,
-            journal_dir=base / f"wal-{transport}",
-            restart_workers=2,
-        )
-        try:
-            for batch in batches[:half]:
-                sharded.push_columns(*batch)
-            if kill:
-                os.kill(sharded._procs[seed % workers].pid, signal.SIGKILL)
-                _time.sleep(0.3)
-            for batch in batches[half:]:
-                sharded.push_columns(*batch)
-            digest = fleet_digest(sharded.finish_all())
-        finally:
-            sharded.close()
-        restarts = sum(sharded._restarts)
-        assert not kill or restarts >= 1, (
-            f"{transport}: worker was killed but never restarted"
-        )
-        assert digest == reference, (
-            f"{transport}: sharded digest {digest} diverged from "
-            f"single-process {reference}"
-        )
-        report["transports"][transport] = {
-            "digest": digest,
-            "restarts": restarts,
-            "stats": sharded.transport_stats(),
-        }
-    return report
 
 
 # -- CLI: the CI crash-injection smoke ---------------------------------------
@@ -562,8 +557,8 @@ def main(argv=None) -> int:
         description=(
             "Bounded crash-injection smoke: kill-9 ingest (batch-boundary "
             "and mid-write), ENOSPC on the store manifest, a journal "
-            "replay digest check, and a sharded pipe/shm transport "
-            "kill-restart digest pin per seed."
+            "replay digest check, and a sharded shm kill-restart digest "
+            "pin per seed."
         ),
     )
     parser.add_argument(
@@ -618,8 +613,8 @@ def main(argv=None) -> int:
                     f"{report['generation_after']} "
                     f"digest={report['digest'][:12]}"
                 )
-            # Sharded transports: pipe and shm, each kill-9'd mid-stream
-            # and journal-replayed, digest-pinned to single-process.
+            # Sharded engine: a worker kill-9'd mid-stream and
+            # journal-replayed, digest-pinned to single-process.
             try:
                 report = run_sharded_transport_check(
                     Path(tmp) / "sharded", seed=seed

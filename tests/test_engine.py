@@ -266,11 +266,17 @@ class TestShardedStreamEngine:
     def test_push_batch_tuples(self, fleet):
         ids, cols = fleet
         factory = functools.partial(_fast_factory, 10.0)
+        single = StreamEngine(factory)
+        single.push_columns(ids, cols.ts, cols.xs, cols.ys)
+        expected = {d: v[0].key_points for d, v in single.finish_all().items()}
         with ShardedStreamEngine(factory, workers=2) as sharded:
-            n = sharded.push_batch(list(zip(ids, cols.ts, cols.xs, cols.ys)))
+            n = sharded.push_batch(
+                (ids[i], cols.ts[i], cols.xs[i], cols.ys[i])
+                for i in range(len(ids))
+            )
             assert n == len(ids)
             results = sharded.finish_all()
-        assert len(results) == len(set(ids))
+        assert {d: v[0].key_points for d, v in results.items()} == expected
 
     def test_worker_error_surfaces_at_finish(self):
         factory = functools.partial(_fast_factory, 10.0)
@@ -304,6 +310,23 @@ class TestShardedStreamEngine:
         sharded.finish_all()
         with pytest.raises(RuntimeError):
             sharded.finish_all()
+
+    def test_use_after_close_raises_lifecycle_error(self):
+        factory = functools.partial(_fast_factory, 10.0)
+        sharded = ShardedStreamEngine(factory, workers=1)
+        sharded.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            sharded.push_batch([("a", 0.0, 0.0, 0.0)])
+        with pytest.raises(RuntimeError, match="closed"):
+            sharded.push_columns(["a"], [0.0], [0.0], [0.0])
+        with pytest.raises(RuntimeError, match="closed"):
+            sharded.finish_all()
+        with ShardedStreamEngine(factory, workers=2) as scoped:
+            scoped.push_batch([("a", 0.0, 0.0, 0.0)])
+        with pytest.raises(RuntimeError, match="closed"):
+            scoped.push_batch([("a", 1.0, 0.0, 0.0)])
+        with pytest.raises(RuntimeError, match="closed"):
+            scoped.finish_all()
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,10 @@
 """Shared-memory transport tests: frame codec, ring accounting, and the
-sharded engine's shm data plane (parity, backpressure, crash recovery).
+sharded engine's ring data plane (parity, backpressure, crash re-drive,
+limits).
+
+The parity tests here spell ``transport="shm"`` explicitly, the form the
+benchmark and the frozen API pass; their twins in ``test_engine.py`` /
+``test_geodetic.py`` / ``test_faults.py`` run on the default.
 """
 
 import os
@@ -117,8 +122,15 @@ class TestFrameCodec:
         assert first == second and cache == cache_view
 
     def test_unjournalable_id_raises_transport_error(self):
-        with pytest.raises(TransportError, match="transport='pipe'"):
+        with pytest.raises(TransportError, match="str, int or bytes"):
             encode_payloads({True: _cols((0.0, 1.0, 2.0))}, 1 << 16)
+
+    def test_id_too_long_for_one_fix_frame_raises(self):
+        # A one-fix blob for this id overruns the payload budget; splitting
+        # cannot help, so the encoder must refuse instead of emitting a
+        # payload larger than max_payload.
+        with pytest.raises(TransportError, match="too long"):
+            encode_payloads({"d" * 300: _cols((0.0, 1.0, 2.0))}, 248)
 
     def test_trailing_garbage_raises(self):
         payload = encode_payloads({"a": _cols((0.0, 1.0, 2.0))}, 1 << 16)[0]
@@ -264,7 +276,7 @@ class TestShmSharding:
         # correctness must be unaffected and the stats must show the waits.
         ids, cols = stream
         got, engine = self._run_sharded(
-            ids, cols, workers=2, transport="shm", ring_bytes=512
+            ids, cols, workers=2, ring_bytes=512
         )
         assert got == self._reference(ids, cols)
         stats = engine.transport_stats()
@@ -274,7 +286,7 @@ class TestShmSharding:
     def test_ack_window_exhaustion_still_bit_identical(self, stream):
         ids, cols = stream
         got, engine = self._run_sharded(
-            ids, cols, workers=2, transport="shm", batch=16, ack_window=1
+            ids, cols, workers=2, batch=16, ack_window=1
         )
         assert got == self._reference(ids, cols)
         stats = engine.transport_stats()
@@ -341,7 +353,6 @@ class TestShmSharding:
         engine = ShardedStreamEngine(
             _factory,
             workers=2,
-            transport="shm",
             ring_bytes=512,
             journal_dir=tmp_path / "wal",
             restart_workers=2,
@@ -364,7 +375,7 @@ class TestShmSharding:
 
     def test_transport_stats_shape(self, stream):
         ids, cols = stream
-        _, engine = self._run_sharded(ids, cols, workers=2, transport="shm")
+        _, engine = self._run_sharded(ids, cols, workers=2)
         stats = engine.transport_stats()
         assert [s["shard"] for s in stats] == [0, 1]
         total_fixes = sum(s["fixes"] for s in stats)
@@ -376,17 +387,10 @@ class TestShmSharding:
             assert s["acks"] == s["frames"]
             assert s["ack_us_p99"] >= s["ack_us_p50"] >= 0.0
 
-    def test_pipe_records_stats_too(self, stream):
-        ids, cols = stream
-        _, engine = self._run_sharded(ids, cols, workers=2)
-        stats = engine.transport_stats()
-        assert sum(s["fixes"] for s in stats) == len(ids)
-        assert all(s["transport"] == "pipe" and s["bytes"] == 0 for s in stats)
-
     def test_exotic_device_id_fails_loudly_on_shm(self):
-        engine = ShardedStreamEngine(_factory, workers=1, transport="shm")
+        engine = ShardedStreamEngine(_factory, workers=1)
         try:
-            with pytest.raises(TransportError, match="transport='pipe'"):
+            with pytest.raises(TransportError, match="str, int or bytes"):
                 engine.push_batch([(True, 0.0, 1.0, 2.0)])
             # The rejected push shipped nothing, so it must account
             # nothing: a later stats read reflects shipped fixes only.
@@ -398,51 +402,37 @@ class TestShmSharding:
         finally:
             engine.close()
 
+    def test_id_too_long_for_the_ring_fails_without_hanging(self):
+        engine = ShardedStreamEngine(_factory, workers=1, ring_bytes=256)
+        try:
+            with pytest.raises(TransportError, match="too long"):
+                engine.push_batch([("d" * 300, 0.0, 1.0, 2.0)])
+            (stats,) = engine.transport_stats()
+            assert stats["fixes"] == 0 and stats["frames"] == 0
+            engine.push_batch([("a", 0.0, 1.0, 2.0)])
+            assert list(engine.finish_all()) == ["a"]
+            (stats,) = engine.transport_stats()
+            assert stats["fixes"] == 1 and stats["frames"] == 1
+        finally:
+            engine.close()
+
     def test_validation(self):
-        with pytest.raises(ValueError, match="transport"):
-            ShardedStreamEngine(_factory, workers=2, transport="bogus")
+        for transport in ("pipe", "bogus"):
+            with pytest.raises(ValueError, match="transport"):
+                ShardedStreamEngine(_factory, workers=2, transport=transport)
         with pytest.raises(ValueError, match="ring_bytes"):
-            ShardedStreamEngine(
-                _factory, workers=2, transport="shm", ring_bytes=16
-            )
+            ShardedStreamEngine(_factory, workers=2, ring_bytes=16)
         with pytest.raises(ValueError, match="ack_window"):
-            ShardedStreamEngine(
-                _factory, workers=2, transport="shm", ack_window=0
-            )
+            ShardedStreamEngine(_factory, workers=2, ack_window=0)
 
-    def test_rings_cleaned_up_on_close(self, stream):
-        ids, cols = stream
-        engine = ShardedStreamEngine(_factory, workers=2, transport="shm")
-        names = [ring.name for ring in engine._rings]
-        engine.close()
-        for name in names:
-            assert not os.path.exists(f"/dev/shm/{name}")
+    def test_rings_cleaned_up_on_close(self):
+        # The default engine and an explicit transport="shm" both run on
+        # the rings.
+        for kwargs in ({}, {"transport": "shm"}):
+            engine = ShardedStreamEngine(_factory, workers=2, **kwargs)
+            names = [ring.name for ring in engine._rings]
+            assert len(names) == 2
+            engine.close()
+            for name in names:
+                assert not os.path.exists(f"/dev/shm/{name}")
 
-
-class TestTransportCLI:
-    def test_engine_cli_shm(self, capsys):
-        from repro.engine.__main__ import main
-
-        assert (
-            main(
-                [
-                    "--devices",
-                    "6",
-                    "--fixes",
-                    "40",
-                    "--workers",
-                    "2",
-                    "--transport",
-                    "shm",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "trajectories" in out
-
-    def test_shm_requires_workers(self):
-        from repro.engine.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["--devices", "2", "--fixes", "10", "--transport", "shm"])
