@@ -221,17 +221,47 @@ def format_rows(rows: Sequence[EvaluationRow]) -> str:
     return "\n".join(lines)
 
 
+def _bounded(kind, minimum: float, strict: bool):
+    """An argparse ``type``: a finite ``kind`` value ``> minimum``
+    (``strict``) or ``>= minimum``, else a one-line usage error."""
+    op = ">" if strict else ">="
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (
+            math.isfinite(value)
+            and (value > minimum if strict else value >= minimum)
+        ):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {op} {minimum:g}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Print the comparison table; exit status 1 when any error-bounded
-    compressor's audited max deviation exceeds its epsilon."""
+    compressor's audited max deviation exceeds its epsilon.  Bad arguments
+    are a usage error (argparse's exit status 2), never status 1."""
     parser = argparse.ArgumentParser(
         description="Compare trajectory compressors on a synthetic track."
     )
-    parser.add_argument("--points", type=int, default=10_000)
-    parser.add_argument("--epsilon", type=float, default=10.0, help="metres")
+    count = _bounded(int, 1, strict=False)
+    parser.add_argument("--points", type=count, default=10_000)
+    parser.add_argument(
+        "--epsilon", type=_bounded(float, 0.0, strict=True), default=10.0,
+        help="metres",
+    )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--uniform-period", type=int, default=10)
-    parser.add_argument("--noise", type=float, default=0.0, help="GPS noise sigma (m)")
+    parser.add_argument("--uniform-period", type=count, default=10)
+    parser.add_argument(
+        "--noise", type=_bounded(float, 0.0, strict=False), default=0.0,
+        help="GPS noise sigma (m)",
+    )
     args = parser.parse_args(argv)
 
     points = synthetic_track(args.points, seed=args.seed, noise_sigma=args.noise)

@@ -45,6 +45,7 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Tuple
 
 from ..geometry.metrics import DistanceMetric
@@ -322,22 +323,56 @@ class DecodedTrajectory:
         )
 
 
-def _decode_column(data, pos: int, n: int, quantum: float):
-    out = array("d")
-    append = out.append
-    q = 0
+def _decode_columns(data, pos: int, n: int, t_quantum: float, xy_quantum: float):
+    """The ``ts``, ``xs`` and ``ys`` columns: ``3n`` svarints that must end
+    exactly at the end of ``data``.
+
+    One pass over the bytes, with no call per value: a countdown stops
+    after the ``3n``-th varint, and zig-zag, prefix sums and ``q *
+    quantum`` then run as comprehensions.  The floats are bit-identical to
+    reading the values one by one with :func:`_read_svarint` (the same
+    exact integer sums, the same single product per value), and every
+    check of that reader stays: the 10-byte cap, truncation, float
+    overflow and trailing bytes all raise :class:`CodecError`.
+    """
+    stream = iter(bytes(data[pos:]))
+    zigzag: list = []
+    append = zigzag.append
+    left = 3 * n
+    acc = shift = 0
+    if left:
+        for byte in stream:
+            if byte < 0x80:
+                append(acc | byte << shift)
+                left -= 1
+                if not left:
+                    break
+                acc = shift = 0
+            else:
+                acc |= (byte & 0x7F) << shift
+                shift += 7
+                if shift >= 7 * _MAX_VARINT_BYTES:
+                    raise CodecError(
+                        f"varint longer than {_MAX_VARINT_BYTES} bytes"
+                    )
+        else:
+            raise CodecError("truncated varint")
+    trailing = len(bytes(stream))
+    if trailing:
+        raise CodecError(f"{trailing} trailing bytes after columns")
+    deltas = [(u >> 1) ^ -(u & 1) for u in zigzag]
     try:
-        for i in range(n):
-            delta, pos = _read_svarint(data, pos)
-            q = delta if i == 0 else q + delta
-            append(q * quantum)
+        return (
+            array("d", [q * t_quantum for q in accumulate(deltas[:n])]),
+            array("d", [q * xy_quantum for q in accumulate(deltas[n : 2 * n])]),
+            array("d", [q * xy_quantum for q in accumulate(deltas[2 * n :])]),
+        )
     except OverflowError as exc:
         # Capped varints still admit quantum counts up to ~2^70, and the
         # quantum itself is an arbitrary f64 from the header — a corrupt
         # combination can overflow the float product.  That is bad input,
         # not an arithmetic bug.
         raise CodecError(f"column value overflows a float: {exc}") from exc
-    return out, pos
 
 
 def decode_trajectory(data: bytes | bytearray | memoryview) -> DecodedTrajectory:
@@ -395,11 +430,7 @@ def decode_trajectory(data: bytes | bytearray | memoryview) -> DecodedTrajectory
             f"claimed {n} key points but only {len(data) - pos} column "
             "bytes remain"
         )
-    ts, pos = _decode_column(data, pos, n, t_quantum)
-    xs, pos = _decode_column(data, pos, n, xy_quantum)
-    ys, pos = _decode_column(data, pos, n, xy_quantum)
-    if pos != len(data):
-        raise CodecError(f"{len(data) - pos} trailing bytes after columns")
+    ts, xs, ys = _decode_columns(data, pos, n, t_quantum, xy_quantum)
     cols = TrajectoryColumns()
     cols.ts, cols.xs, cols.ys = ts, xs, ys
     return DecodedTrajectory(

@@ -50,8 +50,9 @@ records without ever reconstructing the raw stream:
     so the no-false-negative guarantee survives the projection.
     ``definite`` is decided geodetically: a key point (a real original
     fix) whose unprojected coordinate lies inside the geographic
-    rectangle.  Matches carry an unprojected lat/lon ``geo_envelope`` of
-    the record's bounding box, so callers get answers in the coordinate
+    rectangle.  Matches carry the frame they were tested in and an
+    unprojected lat/lon ``geo_envelope`` of the record's bounding box,
+    computed on first read, so callers get answers in the coordinate
     system they asked in.  Records without a stamped zone cannot be
     placed on the ellipsoid and are skipped (they were ingested as bare
     plane fixes; query them with :func:`range_query`).
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from ..geometry.planar import segment_rect_distance
@@ -99,10 +101,23 @@ class QueryMatch:
     #: queries the proof is geodetic: the key point's *unprojected*
     #: coordinate lies inside the lat/lon rectangle.
     definite: bool
-    #: Geographic matches only: the record's bounding box unprojected
-    #: through its stamped zone, as ``(lat_min, lon_min, lat_max,
-    #: lon_max)`` — the answer in the caller's coordinate system.
-    geo_envelope: GeoRect | None = None
+    #: Geographic matches only: the stamped UTM frame the record was
+    #: tested in (``None`` for planar and time-window matches).
+    frame: UTMProjection | None = None
+
+    @cached_property
+    def geo_envelope(self) -> GeoRect | None:
+        """Geographic matches only: the record's bounding box unprojected
+        through :attr:`frame`, as ``(lat_min, lon_min, lat_max,
+        lon_max)`` — the answer in the caller's coordinate system.
+
+        Computed on first read (four inverse projections) and kept on
+        this match; a pure function of ``(ref, frame)``, so equality need
+        not compare it.
+        """
+        if self.frame is None:
+            return None
+        return geo_envelope_of(self.ref, self.frame)
 
 
 def _check_window(t0: float, t1: float) -> None:
@@ -119,6 +134,12 @@ def time_window_query(
         QueryMatch(device_id=ref.device_id, ref=ref, definite=True)
         for ref in store.candidates(t0=t0, t1=t1)
     ]
+
+
+#: Rounding margin of the chord box screen in :func:`_chords_hit`: an
+#: absolute part (metres) and a part relative to the rectangle's magnitude.
+_SCREEN_SLACK_M = 1.0
+_SCREEN_SLACK_REL = 1e-9
 
 
 def _chords_hit(
@@ -143,6 +164,17 @@ def _chords_hit(
     continues looking for one.
     """
     x_min, y_min, x_max, y_max = rect
+    # Box screen: a chord whose bounding box lies beyond the rectangle on
+    # some axis by more than ``reach`` is at least that far from it
+    # (distance ≥ axis separation), so it cannot hit.  ``reach`` exceeds ε
+    # by ε + 1 m plus 1e-9 of the rectangle's magnitude, far above the
+    # rounding of ``segment_rect_distance``, so a skipped chord is one the
+    # exact test would also reject.  An infinite bound screens nothing.
+    reach = 2.0 * eps + _SCREEN_SLACK_M + _SCREEN_SLACK_REL * max(
+        (abs(v) for v in rect if math.isfinite(v)), default=0.0
+    )
+    lo_x, hi_x = x_min - reach, x_max + reach
+    lo_y, hi_y = y_min - reach, y_max + reach
     windowed = t0 is not None
     cols = decoded.columns
     ts, xs, ys = cols.ts, cols.xs, cols.ys
@@ -158,9 +190,15 @@ def _chords_hit(
             continue
         if windowed and not (ts[i] <= t1 and ts[i + 1] >= t0):
             continue
-        d = segment_rect_distance(
-            (xs[i], ys[i]), (xs[i + 1], ys[i + 1]), x_min, y_min, x_max, y_max
-        )
+        ax, bx, ay, by = xs[i], xs[i + 1], ys[i], ys[i + 1]
+        if (
+            (ax < lo_x and bx < lo_x)
+            or (ax > hi_x and bx > hi_x)
+            or (ay < lo_y and by < lo_y)
+            or (ay > hi_y and by > hi_y)
+        ):
+            continue
+        d = segment_rect_distance((ax, ay), (bx, by), x_min, y_min, x_max, y_max)
         if d <= eps:
             hit = True  # keep scanning: a later key point may be definite
     if not hit and n == 1 and (not windowed or t0 <= ts[0] <= t1):
@@ -398,7 +436,7 @@ def _geo_collect(
                         device_id=ref.device_id,
                         ref=ref,
                         definite=False,
-                        geo_envelope=geo_envelope_of(ref, projection),
+                        frame=projection,
                     )
                 )
                 continue
@@ -412,7 +450,7 @@ def _geo_collect(
                         device_id=ref.device_id,
                         ref=ref,
                         definite=definite,
-                        geo_envelope=geo_envelope_of(ref, projection),
+                        frame=projection,
                     )
                 )
     return matches

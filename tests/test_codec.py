@@ -20,6 +20,7 @@ The codec's contract has three layers, each pinned here:
 import math
 import os
 import random
+from array import array
 
 import pytest
 
@@ -37,6 +38,8 @@ from repro.storage import (
     decode_trajectory,
     encode_trajectory,
 )
+from repro.storage import codec
+from repro.storage.codec import _F64, _append_svarint, _append_uvarint, _read_svarint
 
 FUZZ_CASES = int(os.environ.get("CODEC_FUZZ_CASES", "30"))
 CORRUPT_CASES = int(os.environ.get("CODEC_CORRUPT_CASES", "60"))
@@ -335,6 +338,175 @@ class TestCorruptFuzz:
             else:
                 mid = len(blob) // 2
                 self._try_decode(blob[mid:] + blob[:mid])
+
+
+def _scalar_columns(data, pos, n, t_quantum, xy_quantum):
+    """Reference column decoder: one :func:`_read_svarint` call per value,
+    column after column — the layout spelled out, kept only to check the
+    codec's one-pass decoder against."""
+    columns = []
+    try:
+        for quantum in (t_quantum, xy_quantum, xy_quantum):
+            out = array("d")
+            q = 0
+            for i in range(n):
+                delta, pos = _read_svarint(data, pos)
+                q = delta if i == 0 else q + delta
+                out.append(q * quantum)
+            columns.append(out)
+    except OverflowError as exc:
+        raise CodecError(f"column value overflows a float: {exc}") from exc
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes after columns")
+    return tuple(columns)
+
+
+def _decode_outcome(blob):
+    """``("ok", fields, column bytes)`` or ``("CodecError",)``; any other
+    exception escapes and fails the test."""
+    try:
+        dec = decode_trajectory(blob)
+    except CodecError:
+        return ("CodecError",)
+    cols = dec.columns
+    return (
+        "ok",
+        (dec.algorithm, dec.metric, dec.original_count, dec.utm_zone,
+         dec.utm_south, dec.encoded_bytes),
+        (cols.ts.tobytes(), cols.xs.tobytes(), cols.ys.tobytes()),
+    )
+
+
+#: Quanta at the edges of the f64 range: subnormal, tiny, the defaults,
+#: and large enough that ``q * quantum`` saturates to ±inf.
+_EXTREME_QUANTA = (5e-324, 1e-300, 1e-9, 0.001, 0.01, 1.0, 1e150, 1e300,
+                   1.7976931348623157e308)
+
+
+class TestDecodeDifferentialFuzz:
+    """The one-pass column decoder against :func:`_scalar_columns`: the
+    same header parse runs in front of both, so any difference is the
+    column decode's.  Valid blobs must give bit-identical columns, and
+    damaged ones must raise :class:`CodecError` from both."""
+
+    def _both(self, blob, monkeypatch):
+        fast = _decode_outcome(blob)
+        with monkeypatch.context() as patched:
+            patched.setattr(codec, "_decode_columns", _scalar_columns)
+            reference = _decode_outcome(blob)
+        return fast, reference
+
+    def _random_blob(self, rng):
+        """A hand-built blob: random header fields, extreme quanta and
+        ``3n`` varints of 1-10 bytes (canonical, or padded with
+        continuation bytes up to the cap)."""
+        n = rng.choice((0, 1, 2, rng.randrange(3, 80)))
+        blob = bytearray(codec.MAGIC)
+        blob.append(1)  # version
+        zoned = rng.random() < 0.5
+        blob.append(1 if zoned else 0)
+        blob.append(rng.randrange(2))  # metric id
+        blob.append(3)
+        blob += b"bqs"
+        blob += _F64.pack(10.0)
+        _append_uvarint(blob, rng.randrange(0, 1 << 20))
+        _append_uvarint(blob, n)
+        blob += _F64.pack(rng.choice(_EXTREME_QUANTA))
+        blob += _F64.pack(rng.choice(_EXTREME_QUANTA))
+        if zoned:
+            blob += bytes((rng.randrange(1, 61), rng.randrange(2)))
+        for _ in range(3 * n):
+            bits = rng.choice((0, 6, 7, 13, 14, 20, 35, 62, 69))
+            value = rng.randrange(-(1 << bits), 1 << bits) if bits else 0
+            field = bytearray()
+            _append_svarint(field, value)
+            if len(field) < 10 and rng.random() < 0.2:
+                pad = rng.randrange(1, 11 - len(field))
+                # Non-canonical but legal: extra zero groups, same value.
+                field[-1] |= 0x80
+                field += b"\x80" * (pad - 1) + b"\x00"
+            blob += field
+        return bytes(blob)
+
+    @pytest.mark.parametrize("case", range(FUZZ_CASES))
+    def test_random_blobs_bit_identical(self, case, monkeypatch):
+        rng = random.Random(52_000 + case)
+        for _ in range(8):
+            blob = self._random_blob(rng)
+            fast, reference = self._both(blob, monkeypatch)
+            assert fast[0] == "ok"
+            assert fast == reference
+
+    @pytest.mark.parametrize("case", range(FUZZ_CASES))
+    def test_encoded_blobs_bit_identical(self, case, monkeypatch):
+        rng = random.Random(53_000 + case)
+        n = rng.choice((1, 2, rng.randrange(3, 200)))
+        scale = 10.0 ** rng.randrange(-2, 9)
+        t = rng.uniform(0.0, 1e9)
+        points = []
+        for _ in range(n):
+            points.append(
+                PlanePoint(rng.uniform(-scale, scale), rng.uniform(-scale, scale), t)
+            )
+            t += rng.uniform(0.0, 600.0)
+        blob = encode_trajectory(
+            CompressedTrajectory(key_points=tuple(points), original_count=n),
+            xy_quantum=rng.choice((0.001, 0.01, 1.0)),
+            t_quantum=rng.choice((0.001, 1.0)),
+        )
+        fast, reference = self._both(blob, monkeypatch)
+        assert fast[0] == "ok"
+        assert fast == reference
+
+    @pytest.mark.parametrize("case", range(CORRUPT_CASES))
+    def test_corrupt_blobs_agree(self, case, monkeypatch):
+        """Truncations, bit flips, continuation runs and garbage tails:
+        both decoders succeed identically or both raise CodecError."""
+        rng = random.Random(54_000 + case)
+        blob = (
+            self._random_blob(rng)
+            if rng.random() < 0.5
+            else TestCorruptFuzz()._valid_blobs(rng)
+        )
+        kind = rng.randrange(4)
+        if kind == 0:
+            corrupt = blob[: rng.randrange(len(blob))]
+        elif kind == 1:
+            flipped = bytearray(blob)
+            for _ in range(rng.choice((1, 2, 8))):
+                flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+            corrupt = bytes(flipped)
+        elif kind == 2:
+            offset = rng.randrange(len(blob) + 1)
+            run = b"\x80" * rng.choice((3, 9, 10, 11, 40))
+            corrupt = blob[:offset] + run + b"\x01" * rng.randrange(2) + blob[offset:]
+        else:
+            corrupt = blob + bytes(rng.randrange(256) for _ in range(rng.randrange(1, 9)))
+        fast, reference = self._both(corrupt, monkeypatch)
+        assert fast == reference
+        if kind == 0:
+            assert fast == ("CodecError",)
+
+    def test_cap_and_truncation_edges(self, monkeypatch):
+        """A 10-byte varint is legal, an 11-byte one is not; a column that
+        stops mid-varint or one value short is truncated."""
+        head = bytearray(codec.MAGIC) + bytes((1, 0, 0, 0))
+        head += _F64.pack(10.0)
+        _append_uvarint(head, 1)
+        _append_uvarint(head, 1)  # one key point: three values
+        head += _F64.pack(0.01) + _F64.pack(0.001)
+        ten = b"\x80" * 9 + b"\x01"
+        ok = bytes(head) + ten + b"\x02\x03"
+        fast, reference = self._both(ok, monkeypatch)
+        assert fast[0] == "ok" and fast == reference
+        for bad in (
+            bytes(head) + b"\x80" * 10 + b"\x01" + b"\x02\x03",
+            bytes(head) + b"\x02\x03",
+            bytes(head) + b"\x02\x03\x84",
+            bytes(head) + b"\x02\x03\x04\x05",
+        ):
+            fast, reference = self._both(bad, monkeypatch)
+            assert fast == reference == ("CodecError",)
 
 
 class TestGeodetic:

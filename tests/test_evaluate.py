@@ -86,3 +86,41 @@ class TestCLI:
         assert "bqs" in captured.err and "exceeds epsilon" in captured.err
         # The unbounded uniform sampler never fails the run.
         assert "uniform" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--points", "0"],
+            ["--points", "-5"],
+            ["--points", "ten"],
+            ["--epsilon", "-1"],
+            ["--epsilon", "0"],
+            ["--epsilon", "nan"],
+            ["--epsilon", "inf"],
+            ["--uniform-period", "0"],
+            ["--noise", "-1"],
+            ["--noise", "nan"],
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, argv, capsys):
+        """Exit status 1 means "a bound was broken"; a bad argument must
+        not look like that.  argparse reports it in one line, status 2,
+        before any compressor runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error_lines = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(error_lines) == 1
+        assert f"argument {argv[0]}:" in error_lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_boundary_arguments_accepted(self, capsys):
+        assert main(
+            ["--points", "1", "--epsilon", "0.5", "--uniform-period", "1",
+             "--noise", "0"]
+        ) == 0
+        assert "1 points" in capsys.readouterr().out

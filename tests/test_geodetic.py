@@ -32,7 +32,16 @@ from repro.engine import (
     iter_geo_fix_batches,
 )
 from repro.model.projection import UTMProjection, utm_zone_for
-from repro.storage import StoreSink, TrajectoryStore, geo_range_query, geo_rect_to_plane
+from repro.storage import (
+    QueryMatch,
+    StoreSink,
+    TrajectoryStore,
+    geo_range_query,
+    geo_rect_to_plane,
+    range_query,
+)
+from repro.storage import query as query_module
+from repro.storage.query import geo_envelope_of
 from repro.storage import __main__ as storage_cli
 from repro.engine import __main__ as engine_cli
 from repro.storage.store import shard_store_sink
@@ -560,6 +569,138 @@ class TestGeoRangeQuery:
             geo_range_query(store, (0.0, 0.0, 1.0, 1.0), mode="fuzzy")
         with pytest.raises(ValueError):
             geo_range_query(store, (0.0, 0.0, 1.0, 1.0), t0=5.0)
+
+
+class TestLazyGeoEnvelope:
+    """``QueryMatch.geo_envelope`` is computed on first read, from the
+    ``frame`` the match carries, and equals what the query used to compute
+    for every match up front."""
+
+    @pytest.fixture(scope="class")
+    def geo_store(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("lazy") / "store"
+        ids, ts, lats, lons = _fleet(
+            devices=12, fixes=100, seed=41, multi_zone=True, noise_m=1.0
+        )
+        sink = StoreSink(directory)
+        engine = GeoStreamEngine(_factory, collect=False, sink=sink)
+        for batch in iter_geo_fix_batches(ids, ts, lats, lons, 400):
+            engine.push_columns(*batch)
+        engine.finish_all()
+        sink.close()
+        north = [(la, lo) for la, lo in zip(lats, lons) if la > 0.0]
+        south = [(la, lo) for la, lo in zip(lats, lons) if la < 0.0]
+        rects = [
+            (min(p[0] for p in half), min(p[1] for p in half),
+             max(p[0] for p in half), max(p[1] for p in half))
+            for half in (north, south)
+        ]
+        with TrajectoryStore(directory) as store:
+            yield store, rects, directory
+
+    @pytest.mark.parametrize("mode", ["exact", "approximate"])
+    def test_envelope_unchanged_in_both_hemispheres(self, geo_store, mode):
+        store, rects, _ = geo_store
+        hemispheres = set()
+        for rect in rects:
+            matches = geo_range_query(store, rect, mode=mode)
+            assert matches
+            for m in matches:
+                assert m.frame == m.ref.projection()
+                assert m.geo_envelope == geo_envelope_of(m.ref, m.frame)
+                assert m.geo_envelope == geo_envelope_of(m.ref)
+                hemispheres.add(m.frame.south)
+        assert hemispheres == {False, True}
+
+    @pytest.mark.parametrize("mode", ["exact", "approximate"])
+    def test_unread_matches_unproject_only_for_definite_tests(
+        self, geo_store, mode, monkeypatch
+    ):
+        store, rects, _ = geo_store
+        inverse_calls = []
+        real_inverse = UTMProjection.inverse
+
+        def counting_inverse(self, x, y):
+            inverse_calls.append((x, y))
+            return real_inverse(self, x, y)
+
+        predicate_calls = []
+        real_definite_test = query_module._geo_definite_test
+
+        def counting_definite_test(geo_rect, projection):
+            test = real_definite_test(geo_rect, projection)
+
+            def counted(x, y):
+                predicate_calls.append((x, y))
+                return test(x, y)
+
+            return counted
+
+        monkeypatch.setattr(UTMProjection, "inverse", counting_inverse)
+        monkeypatch.setattr(
+            query_module, "_geo_definite_test", counting_definite_test
+        )
+        for rect in rects:
+            inverse_calls.clear()
+            predicate_calls.clear()
+            matches = geo_range_query(store, rect, mode=mode)
+            assert matches
+            assert len(inverse_calls) == len(predicate_calls)
+            if mode == "approximate":
+                assert predicate_calls == []
+            envelopes = [m.geo_envelope for m in matches]
+            assert len(inverse_calls) == len(predicate_calls) + 4 * len(matches)
+            assert [m.geo_envelope for m in matches] == envelopes  # cached
+            assert len(inverse_calls) == len(predicate_calls) + 4 * len(matches)
+
+    def test_equality_is_unchanged(self, geo_store):
+        store, rects, _ = geo_store
+        first = geo_range_query(store, rects[0])
+        second = geo_range_query(store, rects[0])
+        for m in first:
+            m.geo_envelope  # read on one side only
+        assert first == second
+        assert [hash(m) for m in first] == [hash(m) for m in second]
+        for m in first:
+            rebuilt = QueryMatch(
+                device_id=m.device_id, ref=m.ref, definite=m.definite,
+                frame=UTMProjection(zone=m.ref.utm_zone, south=m.ref.utm_south),
+            )
+            assert rebuilt == m and hash(rebuilt) == hash(m)
+            assert QueryMatch(m.device_id, m.ref, m.definite) != m
+        # Planar queries carry no frame, so no envelope, even on stamped
+        # records — as before.
+        ref = first[0].ref
+        planar = range_query(
+            store, (ref.x_min, ref.y_min, ref.x_max, ref.y_max), mode="approximate"
+        )
+        assert planar and all(
+            m.frame is None and m.geo_envelope is None for m in planar
+        )
+
+    def test_cli_geo_rect_output_unchanged(self, geo_store, capsys):
+        """The ``query --geo-rect`` lines, rebuilt here from envelopes
+        computed up front the old way."""
+        store, rects, directory = geo_store
+        for rect in rects:
+            assert storage_cli.main(
+                ["query", str(directory), "--geo-rect=" + ",".join(map(repr, rect))]
+            ) == 0
+            out = capsys.readouterr().out
+            matches = geo_range_query(store, rect)
+            expected = []
+            for m in sorted(matches, key=lambda m: (m.device_id, m.ref.t_min)):
+                env = geo_envelope_of(m.ref)
+                flag = "definite" if m.definite else "possible"
+                expected.append(
+                    f"{m.device_id}  {flag}  t=[{m.ref.t_min:.3f}, "
+                    f"{m.ref.t_max:.3f}]  keys={m.ref.n_key_points}  "
+                    f"lat=[{env[0]:.5f}, {env[2]:.5f}] "
+                    f"lon=[{env[1]:.5f}, {env[3]:.5f}] "
+                    f"zone={m.ref.utm_zone}{'S' if m.ref.utm_south else 'N'}  "
+                    f"{m.ref.segment}@{m.ref.offset}"
+                )
+            assert out.splitlines() == expected
 
 
 class TestConservativeRectProjection:

@@ -20,7 +20,8 @@ import pytest
 
 from repro.compression import BQSCompressor
 from repro.engine import ShardedStreamEngine, StreamEngine, fleet_fixes, iter_fix_batches
-from repro.model import CompressedTrajectory, PlanePoint
+from repro.geometry.planar import segment_rect_distance
+from repro.model import CompressedTrajectory, PlanePoint, TrajectoryColumns
 from repro.storage import (
     QueryMatch,
     StoreSink,
@@ -28,6 +29,7 @@ from repro.storage import (
     range_query,
     time_window_query,
 )
+from repro.storage import query as query_module
 from repro.storage.__main__ import main as storage_main
 from repro.storage.store import shard_store_sink
 
@@ -427,6 +429,171 @@ class TestQueries:
             assert on_line == {"u"}
             near_line = range_query(store, (40.0, 5.0, 60.0, 10.0))
             assert near_line == []  # 5 m off: a bounded record would match
+
+
+def _unscreened_chords_hit(decoded, rect, eps, t0, t1, definite_test=None):
+    """``_chords_hit`` without its box screen: every chord measured with
+    ``segment_rect_distance`` — the reference the screen must match."""
+    x_min, y_min, x_max, y_max = rect
+    windowed = t0 is not None
+    cols = decoded.columns
+    ts, xs, ys = cols.ts, cols.xs, cols.ys
+    n = len(ts)
+    hit = False
+    for i in range(n):
+        if not windowed or t0 <= ts[i] <= t1:
+            if x_min <= xs[i] <= x_max and y_min <= ys[i] <= y_max:
+                if definite_test is None or definite_test(xs[i], ys[i]):
+                    return True, True
+                hit = True
+        if hit or i + 1 >= n:
+            continue
+        if windowed and not (ts[i] <= t1 and ts[i + 1] >= t0):
+            continue
+        d = segment_rect_distance(
+            (xs[i], ys[i]), (xs[i + 1], ys[i + 1]), x_min, y_min, x_max, y_max
+        )
+        if d <= eps:
+            hit = True
+    if not hit and n == 1 and (not windowed or t0 <= ts[0] <= t1):
+        d = segment_rect_distance(
+            (xs[0], ys[0]), (xs[0], ys[0]), x_min, y_min, x_max, y_max
+        )
+        hit = d <= eps
+    return hit, False
+
+
+class _Decoded:
+    """The one attribute ``_chords_hit`` reads off a decoded record."""
+
+    def __init__(self, points):
+        self.columns = TrajectoryColumns(
+            [p[0] for p in points], [p[1] for p in points], [p[2] for p in points]
+        )
+
+
+def _grid_parity(x, y):
+    """A stand-in geodetic ``definite_test``: deterministic, and false for
+    about half of the key points, so the scan has to keep looking."""
+    return int(math.floor(x) + math.floor(y)) % 2 == 0
+
+
+class TestChordScreen:
+    """The chord box screen in ``_chords_hit`` changes no answer.
+
+    Chords are placed at separations from the rectangle straddling ε (by
+    1e-9·ε, by one ulp, and exactly ε) and straddling the screen's own
+    reach, with ε = 0 (the path for records without a finite bound),
+    windows, single-key-point records and a geodetic-style
+    ``definite_test``; ``(hit, definite)`` must equal the unscreened
+    loop's on every one."""
+
+    @staticmethod
+    def _separations(eps, reach):
+        seps = [eps, eps * (1 + 1e-9), eps * (1 - 1e-9),
+                math.nextafter(eps, math.inf), math.nextafter(eps, -math.inf),
+                reach, math.nextafter(reach, math.inf),
+                math.nextafter(reach, -math.inf), 2 * reach + 5.0]
+        return [max(sep, 0.0) for sep in seps]
+
+    @staticmethod
+    def _offset_point(rect, side, sep, along):
+        """A point ``sep`` outside the rectangle's ``side`` edge, at
+        fraction ``along`` of that edge (or past a corner, diagonally)."""
+        x_min, y_min, x_max, y_max = rect
+        if side == "left":
+            return x_min - sep, y_min + along * (y_max - y_min)
+        if side == "right":
+            return x_max + sep, y_min + along * (y_max - y_min)
+        if side == "bottom":
+            return x_min + along * (x_max - x_min), y_min - sep
+        if side == "top":
+            return x_min + along * (x_max - x_min), y_max + sep
+        d = sep / math.sqrt(2.0)
+        return x_max + d, y_max + d  # corner: Euclidean separation ~sep
+
+    def _case(self, rng):
+        scale = rng.choice((0.0, 1e3, 5e5, 4.6e6))
+        cx, cy = rng.uniform(-scale, scale), rng.uniform(-scale, scale)
+        w = rng.choice((0.0, 1.0, rng.uniform(1.0, 500.0)))
+        h = rng.choice((0.0, 1.0, rng.uniform(1.0, 500.0)))
+        rect = (cx, cy, cx + w, cy + h)
+        eps = rng.choice((0.0, 1e-3, 5.0, 10.0, 250.0))
+        reach = 2.0 * eps + query_module._SCREEN_SLACK_M + (
+            query_module._SCREEN_SLACK_REL * max(abs(v) for v in rect)
+        )
+        seps = self._separations(eps, reach)
+        points = []
+        t = rng.uniform(0.0, 1e6)
+        for _ in range(rng.choice((1, 1, 2, 2, 3, 6))):
+            side = rng.choice(("left", "right", "bottom", "top", "corner"))
+            along = rng.choice((0.0, 0.5, 1.0, rng.random()))
+            x, y = self._offset_point(rect, side, rng.choice(seps), along)
+            points.append((t, x, y))
+            t += rng.choice((0.0, 1.0, rng.uniform(1.0, 60.0)))
+        if rng.random() < 0.3:
+            # A chord that ends inside: hit at distance zero.
+            points.append((t, cx + w * rng.random(), cy + h * rng.random()))
+        windowed = rng.random() < 0.4
+        if windowed:
+            t0 = rng.uniform(points[0][0] - 10.0, points[-1][0] + 10.0)
+            t1 = t0 + rng.choice((0.0, 5.0, 100.0))
+        else:
+            t0 = t1 = None
+        definite_test = _grid_parity if rng.random() < 0.4 else None
+        return _Decoded(points), rect, eps, t0, t1, definite_test
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_unscreened_loop(self, seed):
+        rng = random.Random(71_000 + seed)
+        for _ in range(200):
+            decoded, rect, eps, t0, t1, definite_test = self._case(rng)
+            expected = _unscreened_chords_hit(decoded, rect, eps, t0, t1, definite_test)
+            got = query_module._chords_hit(decoded, rect, eps, t0, t1, definite_test)
+            assert got == expected, (decoded.columns, rect, eps, t0, t1)
+
+    def test_infinite_bounds_screen_nothing_on_their_side(self, monkeypatch):
+        """A polar geographic query projects to an infinite northing
+        bound.  The screen must not turn it into NaN: chords off the
+        finite sides are still screened, and nothing is screened toward
+        the infinite one."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return segment_rect_distance(*args)
+
+        monkeypatch.setattr(query_module, "segment_rect_distance", counting)
+        rect = (0.0, 0.0, 100.0, math.inf)
+        chords = {
+            "north, beside": [(0.0, 105.0, 1e9), (1.0, 108.0, 2e9)],
+            "south": [(0.0, 50.0, -500.0), (1.0, 60.0, -400.0)],
+            "east": [(0.0, 500.0, 1e6), (1.0, 510.0, 2e6)],
+        }
+        measured = {}
+        for name, points in chords.items():
+            decoded = _Decoded(points)
+            calls.clear()
+            got = query_module._chords_hit(decoded, rect, 10.0, None, None)
+            measured[name] = len(calls)
+            assert got == _unscreened_chords_hit(decoded, rect, 10.0, None, None)
+        assert measured == {"north, beside": 1, "south": 0, "east": 0}
+
+    def test_far_chords_are_not_measured(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return segment_rect_distance(*args)
+
+        monkeypatch.setattr(query_module, "segment_rect_distance", counting)
+        rect = (0.0, 0.0, 100.0, 100.0)
+        far = _Decoded([(float(k), 1000.0 + 10.0 * k, 50.0) for k in range(20)])
+        assert query_module._chords_hit(far, rect, 10.0, None, None) == (False, False)
+        assert calls == []
+        near = _Decoded([(0.0, 105.0, -50.0), (1.0, 105.0, 150.0)])
+        assert query_module._chords_hit(near, rect, 10.0, None, None) == (True, False)
+        assert len(calls) == 1
 
 
 class TestCLI:
