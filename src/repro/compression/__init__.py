@@ -22,7 +22,7 @@ from .baselines import (
     TDTRCompressor,
     UniformSampler,
 )
-from .bqs import BQSCompressor, QuadrantState, quadrant_index
+from .bqs import BQSCompressor
 from .evaluate import (
     EvaluationRow,
     default_suite,
@@ -31,7 +31,7 @@ from .evaluate import (
     format_rows,
     synthetic_track,
 )
-from .fast_bqs import FastBQSCompressor
+from .fast_bqs import FastBQSCompressor, QuadrantState, quadrant_index
 
 __all__ = [
     "BQSCompressor",

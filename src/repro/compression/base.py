@@ -24,7 +24,8 @@ caller's point of view:
 ``SteppedCompressor`` (ABC)
     The base of BQS and Fast-BQS: the whole per-arrival decision is one
     ``_step(x, y, t, src)``, and ``push``, ``push_many`` and ``push_xyt``
-    are adapters that only check the clock, step and count decisions.
+    are adapters that only check the clock, step, count decisions and
+    commit key points as float columns.
 
 ``PointBuffer``
     A small buffer with high-water-mark tracking, used by the algorithms
@@ -36,12 +37,13 @@ from __future__ import annotations
 
 import abc
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..geometry.metrics import DistanceMetric
-from ..model.point import PlanePoint
+from ..model.point import PlanePoint, plane_points_from_columns
 from ..model.trajectory import CompressedTrajectory
 
 __all__ = [
@@ -63,10 +65,10 @@ class Decision:
 
     INIT = "init"  #: first point of the stream, always a key point
     ACCEPT = "accept"  #: point folded into the open segment, no analysis
-    UPPER_BOUND = "upper_bound"  #: quadrant upper bound proved deviation <= ε
-    LOWER_BOUND = "lower_bound"  #: quadrant lower bound proved deviation > ε
-    EXACT_ACCEPT = "exact_accept"  #: exact deviation computed, point admitted
-    EXACT_COMMIT = "exact_commit"  #: exact deviation computed, segment split
+    UPPER_BOUND = "upper_bound"  #: a summary bound proved deviation <= ε
+    LOWER_BOUND = "lower_bound"  #: a summary bound proved deviation > ε
+    EXACT_ACCEPT = "exact_accept"  #: per-point test run, point admitted
+    EXACT_COMMIT = "exact_commit"  #: per-point test run, segment split
     THRESHOLD = "threshold"  #: scalar threshold test (dead reckoning)
     PERIODIC = "periodic"  #: fixed-rate decision (uniform sampling)
     BATCH = "batch"  #: deferred to finish() (batch baselines)
@@ -199,7 +201,7 @@ class CompressorBase(abc.ABC):
             raise ValueError(f"epsilon must be positive, got {epsilon!r}")
         self._epsilon = float(epsilon)
         self._metric = metric
-        self._key_points: list[PlanePoint] = []
+        self._new_keys()
         self._count = 0
         self._last_t = -math.inf
         self._finished = False
@@ -288,8 +290,9 @@ class CompressorBase(abc.ABC):
         cols.xs, cols.ys``) or any parallel float sequences.  Output is
         *bit-identical* to pushing ``PlanePoint(x, y, t)`` objects one at a
         time, but :meth:`_ingest_xyt` reads the floats straight out of the
-        columns and materializes points only for committed key points, so
-        no per-fix object is ever built.
+        columns, so no per-fix object is ever built (BQS and Fast-BQS build
+        none for their key points either; the baselines build one per key
+        point).
 
         BQS and Fast-BQS reject a NaN / ±inf coordinate exactly like a
         ``push`` loop would (see :meth:`SteppedCompressor._ingest_xyt`).
@@ -318,7 +321,7 @@ class CompressorBase(abc.ABC):
             self._emit(key)
         self._finished = True
         return CompressedTrajectory(
-            key_points=tuple(self._key_points),
+            **self._key_output(),
             original_count=self._count,
             metric=self._metric,
             tolerance=self._epsilon,
@@ -328,7 +331,7 @@ class CompressorBase(abc.ABC):
 
     def reset(self) -> None:
         """Reset the shared state, then the subclass state via _reset()."""
-        self._key_points = []
+        self._new_keys()
         self._count = 0
         self._last_t = -math.inf
         self._finished = False
@@ -415,7 +418,15 @@ class CompressorBase(abc.ABC):
         info: dict = {"decisions": dict(self._stats)}
         return info
 
-    # -- helpers ------------------------------------------------------------
+    # -- key-point storage --------------------------------------------------
+
+    def _new_keys(self) -> None:
+        """Start an empty key-point store (a finished output keeps the old)."""
+        self._key_points: list[PlanePoint] = []
+
+    def _key_output(self) -> dict:
+        """The key points as :class:`CompressedTrajectory` arguments."""
+        return {"key_points": tuple(self._key_points)}
 
     def _emit(self, point: PlanePoint) -> None:
         """Append a key point, dropping exact consecutive duplicates."""
@@ -435,15 +446,18 @@ class SteppedCompressor(CompressorBase):
 
     ``_step(x, y, t, src)`` takes the fix as floats plus the pushed
     :class:`PlanePoint` (``None`` on the columnar path) and returns
-    ``(committed key point or None, decision slot)``, the slot indexing
-    :attr:`_labels`.  ``push``, ``push_many`` and ``push_xyt`` only check
-    the clock, step and count slots, so their outputs agree by
-    construction.
+    ``(commit, slot)``: whether the arrival commits a key point, and the
+    decision slot, indexing :attr:`_labels`.  A commit is the previous fix
+    (the arrival itself when it is the stream's first).  ``push``,
+    ``push_many`` and ``push_xyt`` only check the clock, step, count slots
+    and commit, so their outputs agree by construction.
 
-    The previous fix is one tuple ``(x, y, t, src)`` in ``_prev``.
-    :meth:`_prev_point` commits it as ``src`` itself when a point was
-    pushed (identity and ``z`` pass through), else as a new
-    ``PlanePoint(x, y, t)``.
+    The previous fix is one tuple ``(x, y, t, src)`` in ``_prev``, kept
+    here and read by ``_step``.  Key points are committed as floats into
+    ``array('d')`` columns — ``z`` from ``src`` when a point was pushed,
+    a ``zs`` column only once some ``z != 0`` — which :meth:`finish` hands
+    to the :class:`~repro.model.trajectory.CompressedTrajectory` as they
+    are, so no key point is built unless someone reads ``key_points``.
     """
 
     #: Decision labels, indexed by the slots :meth:`_step` returns.
@@ -453,16 +467,66 @@ class SteppedCompressor(CompressorBase):
     @abc.abstractmethod
     def _step(
         self, x: float, y: float, t: float, src: PlanePoint | None
-    ) -> tuple[PlanePoint | None, int]:
-        """One arrival: (committed key point or None, decision slot)."""
+    ) -> tuple[bool, int]:
+        """One arrival: (commit a key point?, decision slot)."""
+
+    # -- key-point columns --------------------------------------------------
+
+    def _new_keys(self) -> None:
+        self._kts = array("d")
+        self._kxs = array("d")
+        self._kys = array("d")
+        self._kzs: array | None = None
+        self._prev = None
+
+    def _key_output(self) -> dict:
+        return {"ts": self._kts, "xs": self._kxs, "ys": self._kys, "zs": self._kzs}
+
+    @property
+    def key_points(self) -> tuple[PlanePoint, ...]:
+        return plane_points_from_columns(self._kxs, self._kys, self._kts, self._kzs)
+
+    def _commit(
+        self, x: float, y: float, t: float, src: PlanePoint | None
+    ) -> None:
+        """Append one key point's floats, dropping an exact repeat of the
+        last one (same ``x``, ``y`` and ``t``)."""
+        ts = self._kts
+        if ts and ts[-1] == t and self._kxs[-1] == x and self._kys[-1] == y:
+            return
+        ts.append(t)
+        self._kxs.append(x)
+        self._kys.append(y)
+        z = 0.0 if src is None else src.z
+        zs = self._kzs
+        if zs is not None:
+            zs.append(z)
+        elif z:
+            self._kzs = zs = array("d", bytes(8 * (len(ts) - 1)))
+            zs.append(z)
+
+    def _emit(self, point: PlanePoint) -> None:
+        self._commit(point.x, point.y, point.t, point)
+
+    # -- entry points -------------------------------------------------------
 
     def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
-        key, slot = self._step(point.x, point.y, point.t, point)
-        return ([] if key is None else [key]), self._labels[slot]
+        prev = self._prev
+        x = point.x
+        y = point.y
+        t = point.t
+        commit, slot = self._step(x, y, t, point)
+        self._prev = (x, y, t, point)
+        if not commit:
+            return [], self._labels[slot]
+        if prev is None:
+            return [point], self._labels[slot]
+        px, py, pt, src = prev
+        return [PlanePoint(px, py, pt) if src is None else src], self._labels[slot]
 
     def _ingest_many(self, points: Iterable[PlanePoint]) -> int:
         step = self._step
-        emit = self._emit
+        commit_ = self._commit
         counters = [0] * len(self._labels)
         last_t = self._last_t
         count = start = self._count
@@ -473,10 +537,13 @@ class SteppedCompressor(CompressorBase):
                     raise _backwards(last_t, t)
                 last_t = t
                 count += 1
-                key, slot = step(point.x, point.y, t, point)
+                x = point.x
+                y = point.y
+                commit, slot = step(x, y, t, point)
                 counters[slot] += 1
-                if key is not None:
-                    emit(key)
+                if commit:
+                    commit_(*(self._prev or (x, y, t, point)))
+                self._prev = (x, y, t, point)
         finally:
             self._last_t = last_t
             self._count = count
@@ -510,7 +577,7 @@ class SteppedCompressor(CompressorBase):
             )
         fixes = zip(ts if stop is None else islice(ts, stop), xs, ys)
         step = self._step
-        emit = self._emit
+        commit_ = self._commit
         counters = [0] * len(self._labels)
         last_t = self._last_t
         count = start = self._count
@@ -520,10 +587,11 @@ class SteppedCompressor(CompressorBase):
                     raise _backwards(last_t, t)
                 last_t = t
                 count += 1
-                key, slot = step(x, y, t, None)
+                commit, slot = step(x, y, t, None)
                 counters[slot] += 1
-                if key is not None:
-                    emit(key)
+                if commit:
+                    commit_(*(self._prev or (x, y, t, None)))
+                self._prev = (x, y, t, None)
         finally:
             self._last_t = last_t
             self._count = count
@@ -539,13 +607,10 @@ class SteppedCompressor(CompressorBase):
             if n:
                 stats[label] = stats.get(label, 0) + n
 
-    def _prev_point(self) -> PlanePoint:
-        """The previous fix as a key point (the pushed object if any)."""
-        x, y, t, src = self._prev
-        return PlanePoint(x, y, t) if src is None else src
-
     def _flush(self) -> list[PlanePoint]:
-        return [] if self._prev is None else [self._prev_point()]
+        if self._prev is not None:
+            self._commit(*self._prev)
+        return []
 
 
 def _backwards(last_t: float, t: float) -> ValueError:

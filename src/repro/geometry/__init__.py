@@ -8,7 +8,6 @@ from .planar import (
     cross,
     dot,
     max_distance_to_line_origin,
-    min_distance_on_segment_to_line_origin,
     norm,
     normalize_angle,
     point_in_convex_polygon,
@@ -29,7 +28,6 @@ __all__ = [
     "dot",
     "max_deviation",
     "max_distance_to_line_origin",
-    "min_distance_on_segment_to_line_origin",
     "norm",
     "normalize_angle",
     "point_in_convex_polygon",

@@ -15,7 +15,6 @@ segment / rectangle distances behind the store's range queries.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Iterable, Sequence
 
 Vec2 = tuple[float, float]
@@ -30,17 +29,13 @@ __all__ = [
     "point_line_distance",
     "point_line_distance_origin",
     "point_segment_distance",
-    "segments_intersect",
-    "segment_segment_distance",
     "segment_rect_distance",
     "convex_hull",
-    "IncrementalHull",
     "point_in_convex_polygon",
     "rectangle_corners",
     "wedge_box_polygon",
     "max_distance_to_line_origin",
     "max_abs_cross",
-    "min_distance_on_segment_to_line_origin",
 ]
 
 
@@ -118,50 +113,6 @@ def point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     return math.hypot(p[0] - proj[0], p[1] - proj[1])
 
 
-def segments_intersect(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> bool:
-    """Whether closed segments ``ab`` and ``cd`` share a point.
-
-    The standard orientation test, with collinear overlap handled via
-    bounding-interval checks — exact for the query layer's crossing tests
-    because every orientation is a sign of a cross product.
-    """
-    d1 = cross((b[0] - a[0], b[1] - a[1]), (c[0] - a[0], c[1] - a[1]))
-    d2 = cross((b[0] - a[0], b[1] - a[1]), (d[0] - a[0], d[1] - a[1]))
-    d3 = cross((d[0] - c[0], d[1] - c[1]), (a[0] - c[0], a[1] - c[1]))
-    d4 = cross((d[0] - c[0], d[1] - c[1]), (b[0] - c[0], b[1] - c[1]))
-    if ((d1 > 0) != (d2 > 0) or d1 == 0 or d2 == 0) and (
-        (d3 > 0) != (d4 > 0) or d3 == 0 or d4 == 0
-    ):
-        # Signs straddle (or touch) on both segments; rule out the
-        # collinear-but-disjoint case with interval overlap.
-        if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-            return (
-                min(a[0], b[0]) <= max(c[0], d[0])
-                and min(c[0], d[0]) <= max(a[0], b[0])
-                and min(a[1], b[1]) <= max(c[1], d[1])
-                and min(c[1], d[1]) <= max(a[1], b[1])
-            )
-        return True
-    return False
-
-
-def segment_segment_distance(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> float:
-    """Minimum distance between closed segments ``ab`` and ``cd``.
-
-    Zero when they intersect; otherwise the minimum is attained at an
-    endpoint of one segment against the other, so four point-segment
-    distances cover it.
-    """
-    if segments_intersect(a, b, c, d):
-        return 0.0
-    return min(
-        point_segment_distance(a, c, d),
-        point_segment_distance(b, c, d),
-        point_segment_distance(c, a, b),
-        point_segment_distance(d, a, b),
-    )
-
-
 def segment_rect_distance(
     a: Vec2,
     b: Vec2,
@@ -174,24 +125,61 @@ def segment_rect_distance(
     rectangle (zero when they touch or the segment enters it).
 
     The workhorse of the ε-expanded range queries: a stored chord is
-    within ε of a query rectangle iff this distance is ≤ ε.
+    within ε of a query rectangle iff this distance is ≤ ε.  Bounds may be
+    infinite or huge (a geographic query reaching past the projection's
+    polar clamp has an infinite northing).
+
+    Along the chord ``p(t) = a + t·(b − a)``, the squared distance is the
+    sum of each axis's squared overshoot, which is linear in ``t`` between
+    the points where ``x(t)`` or ``y(t)`` crosses a bound.  So the chord
+    splits into at most five pieces, and on each the squared distance is a
+    convex quadratic, minimised in closed form.  An infinite bound is
+    never crossed and is never subtracted from.
     """
-    # Inside (either endpoint) means contact; otherwise the minimum is
-    # against one of the four rectangle edges.
-    if x_min <= a[0] <= x_max and y_min <= a[1] <= y_max:
+    ax, ay = a
+    bx, by = b
+    if x_min <= ax <= x_max and y_min <= ay <= y_max:
         return 0.0
-    if x_min <= b[0] <= x_max and y_min <= b[1] <= y_max:
+    if x_min <= bx <= x_max and y_min <= by <= y_max:
         return 0.0
-    c00 = (x_min, y_min)
-    c10 = (x_max, y_min)
-    c11 = (x_max, y_max)
-    c01 = (x_min, y_max)
-    return min(
-        segment_segment_distance(a, b, c00, c10),
-        segment_segment_distance(a, b, c10, c11),
-        segment_segment_distance(a, b, c11, c01),
-        segment_segment_distance(a, b, c01, c00),
-    )
+    dx = bx - ax
+    dy = by - ay
+    cuts = [0.0, 1.0]
+    for p0, d, lo, hi in ((ax, dx, x_min, x_max), (ay, dy, y_min, y_max)):
+        if d:
+            for bound in (lo, hi):
+                t = (bound - p0) / d
+                if 0.0 < t < 1.0:
+                    cuts.append(t)
+    cuts.sort()
+    best = math.inf
+    for t0, t1 in zip(cuts, cuts[1:]):
+        # Which side of each slab the piece lies on, read at its middle;
+        # the overshoot is then ``c0 + c1·t`` on the whole piece.
+        tm = 0.5 * (t0 + t1)
+        x = ax + tm * dx
+        if x < x_min:
+            cx0, cx1 = x_min - ax, -dx
+        elif x > x_max:
+            cx0, cx1 = ax - x_max, dx
+        else:
+            cx0 = cx1 = 0.0
+        y = ay + tm * dy
+        if y < y_min:
+            cy0, cy1 = y_min - ay, -dy
+        elif y > y_max:
+            cy0, cy1 = ay - y_max, dy
+        else:
+            cy0 = cy1 = 0.0
+        den = cx1 * cx1 + cy1 * cy1
+        t = t0
+        if den > 0.0:
+            t = -(cx0 * cx1 + cy0 * cy1) / den
+            t = t0 if t < t0 else t1 if t > t1 else t
+        d = math.hypot(cx0 + cx1 * t, cy0 + cy1 * t)
+        if d < best:
+            best = d
+    return best
 
 
 def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
@@ -219,136 +207,6 @@ def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
     lower = half(pts)
     upper = half(reversed(pts))
     return lower[:-1] + upper[:-1]
-
-
-class IncrementalHull:
-    """Convex hull maintained under point insertion (semi-dynamic).
-
-    The hull is stored as the two monotone chains of Andrew's algorithm,
-    each sorted by ``(x, y)``.  Inserting a point locates its position with
-    a binary search, rejects it in O(log h) when it falls inside the current
-    hull, and otherwise splices it in and repairs convexity locally by
-    popping dominated neighbours — the same pops the batch monotone chain
-    would perform, so each point is inserted and removed at most once and
-    insertion is amortized O(log h) comparisons (plus the list memmove).
-
-    :meth:`vertices` reproduces :func:`convex_hull`'s output exactly — same
-    vertex set, same counter-clockwise order, collinear points dropped — a
-    correspondence the test suite cross-checks on random point sets.  The
-    one exception is *near*-collinear input (points collinear in exact
-    arithmetic but not as floats, e.g. GPS fixes along a straight road):
-    there the two implementations may keep different boundary-grazing
-    vertices, since at ULP scale the hull is ambiguous and insertion order
-    matters.  Both remain valid hulls of the input, and the property BQS
-    relies on — the max ``|cross|`` over vertices equals the max over all
-    inserted points — holds either way (also under test).
-    """
-
-    __slots__ = ("_lower", "_upper")
-
-    def __init__(self, points: Iterable[Vec2] = ()) -> None:
-        self._lower: list[Vec2] = []
-        self._upper: list[Vec2] = []
-        for p in points:
-            self.add(p)
-
-    def __len__(self) -> int:
-        n = len(self._lower)
-        if n <= 1:
-            return n
-        # The chains share their first and last vertices (min and max point).
-        return n + len(self._upper) - 2
-
-    def clear(self) -> None:
-        """Empty the hull, keeping the chain lists allocated."""
-        self._lower.clear()
-        self._upper.clear()
-
-    @staticmethod
-    def _insert(chain: list[Vec2], p: Vec2, orient: float) -> bool:
-        """Insert ``p`` into one monotone chain; ``orient`` is +1 for the
-        lower chain (interior triples turn left) and -1 for the upper.
-        Returns False when ``p`` lies on or inside the chain."""
-        i = bisect_left(chain, p)
-        n = len(chain)
-        if i < n and chain[i] == p:
-            return False
-        if 0 < i < n:
-            a = chain[i - 1]
-            b = chain[i]
-            if orient * (
-                (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            ) >= 0.0:
-                return False  # on or interior-side of the chain edge
-        chain.insert(i, p)
-        # Pop neighbours to the right of p that stopped being convex.
-        while i + 2 < len(chain):
-            a, b, c = chain[i], chain[i + 1], chain[i + 2]
-            if orient * (
-                (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            ) <= 0.0:
-                del chain[i + 1]
-            else:
-                break
-        # Pop neighbours to the left of p likewise.
-        while i >= 2:
-            a, b, c = chain[i - 2], chain[i - 1], chain[i]
-            if orient * (
-                (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            ) <= 0.0:
-                del chain[i - 1]
-                i -= 1
-            else:
-                break
-        return True
-
-    def add(self, p: Vec2) -> int:
-        """Fold one point in; returns the net change in vertex count.
-
-        The delta can be negative (one insertion may pop several dominated
-        vertices) or zero even when the hull changed shape, so callers
-        tracking memory should accumulate it rather than test it.
-        """
-        before = len(self)
-        self._insert(self._lower, p, 1.0)
-        self._insert(self._upper, p, -1.0)
-        return len(self) - before
-
-    def vertices(self) -> list[Vec2]:
-        """Hull vertices, counter-clockwise, matching :func:`convex_hull`."""
-        lower = self._lower
-        if len(lower) <= 1:
-            return list(lower)
-        upper = self._upper
-        out = lower[:-1]
-        for i in range(len(upper) - 1, 0, -1):
-            out.append(upper[i])
-        return out
-
-    def max_abs_cross(self, dx: float, dy: float) -> float:
-        """``max |dx*y - dy*x|`` over the hull vertices (0 when empty).
-
-        Dividing by ``hypot(dx, dy)`` turns this into the exact maximum
-        distance from the hulled points to the origin line along
-        ``(dx, dy)`` — the distance is convex in position, so its maximum
-        over the original point set is attained at a hull vertex.  Keeping
-        the division out of the loop lets callers compare against a
-        pre-scaled tolerance.
-        """
-        best = 0.0
-        for x, y in self._lower:
-            c = dx * y - dy * x
-            if c < 0.0:
-                c = -c
-            if c > best:
-                best = c
-        for x, y in self._upper:
-            c = dx * y - dy * x
-            if c < 0.0:
-                c = -c
-            if c > best:
-                best = c
-        return best
 
 
 def point_in_convex_polygon(p: Vec2, polygon: Sequence[Vec2]) -> bool:
@@ -493,22 +351,3 @@ def max_abs_cross(points: Iterable[Vec2], dx: float, dy: float) -> float:
         if c > best:
             best = c
     return best
-
-
-def min_distance_on_segment_to_line_origin(
-    a: Vec2, b: Vec2, direction: Vec2
-) -> float:
-    """Min distance from any point of segment ``ab`` to the origin line.
-
-    Zero when the segment crosses the line.  A bounding-box edge is touched
-    by at least one actual trajectory point, so this is a valid per-edge
-    lower bound on the quadrant's maximum deviation.
-    """
-    denom = norm(direction)
-    if denom == 0.0:
-        return min(norm(a), norm(b))
-    sa = cross(direction, a) / denom
-    sb = cross(direction, b) / denom
-    if (sa <= 0.0 <= sb) or (sb <= 0.0 <= sa):
-        return 0.0
-    return min(abs(sa), abs(sb))

@@ -8,14 +8,15 @@ same data as three flat stdlib ``array('d')`` columns — timestamps, x, y —
 so batch producers (file readers, network decoders, the fleet engine) can
 hand a compressor thousands of fixes with **zero per-point objects**; the
 columnar ingest paths (``StreamingCompressor.push_xyt``) read the floats
-straight out of the columns and materialize ``PlanePoint`` instances only
-for the handful of fixes that become key points.
+straight out of the columns, and BQS and Fast-BQS commit their key points
+as floats too (a :class:`~repro.model.trajectory.CompressedTrajectory` is
+column-backed).
 
 The columns are time-ordered per trajectory (the same non-decreasing
 timestamp contract ``push`` enforces) and carry no ``z``: the columnar path
 is the 2-D hot path, and a materialized point gets ``z = 0.0`` — exactly
 what ``PlanePoint(x, y, t)`` defaults to.  Streams that carry ``z`` keep
-using the object path, where pushed points pass through as key points.
+using the object path, which keeps each key point's ``z``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,21 @@ class TrajectoryColumns:
                 "column length mismatch: "
                 f"ts={len(self.ts)}, xs={len(self.xs)}, ys={len(self.ys)}"
             )
+
+    @classmethod
+    def wrap(
+        cls, ts: "array[float]", xs: "array[float]", ys: "array[float]"
+    ) -> "TrajectoryColumns":
+        """Columns over existing equal-length arrays, without copying."""
+        if not (len(ts) == len(xs) == len(ys)):
+            raise ValueError(
+                f"column length mismatch: ts={len(ts)}, xs={len(xs)}, ys={len(ys)}"
+            )
+        cols = cls.__new__(cls)
+        cols.ts = ts
+        cols.xs = xs
+        cols.ys = ys
+        return cols
 
     @classmethod
     def from_points(cls, points: Iterable[PlanePoint]) -> "TrajectoryColumns":

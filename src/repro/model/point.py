@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence, cast
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "PlanePoint",
     "EARTH_RADIUS_M",
     "haversine_m",
+    "plane_points_from_columns",
     "plane_points_from_flat",
 ]
 
@@ -72,7 +74,7 @@ class PlanePoint:
 
     ``x`` and ``y`` are metres in the projected frame.  ``z`` is a
     pass-through slot (altitude, say): no compressor reads it, and a pushed
-    point that becomes a key point is kept as the same object, ``z``
+    point that becomes a key point comes back equal by value, ``z``
     included; key points built from columns carry ``z == 0.0``.  ``t`` is
     the POSIX timestamp and is carried through compression untouched so
     that key points keep their original acquisition times.
@@ -159,6 +161,24 @@ def plane_points_from_flat(flat: Sequence[float]) -> list[PlanePoint]:
     if math.isfinite(sum(flat)):
         return list(map(_trusted_plane_point, it, it, it, it))
     return list(map(PlanePoint, it, it, it, it))
+
+
+def plane_points_from_columns(
+    xs: Sequence[float],
+    ys: Sequence[float],
+    ts: Sequence[float],
+    zs: Sequence[float] | None = None,
+) -> tuple[PlanePoint, ...]:
+    """Materialize parallel columns as :class:`PlanePoint`\\ s (``z = 0``
+    where ``zs`` is ``None``), screened like :func:`plane_points_from_flat`.
+    """
+    z_col: Iterable[float] = repeat(0.0) if zs is None else zs
+    finite = math.isfinite(sum(xs)) and math.isfinite(sum(ys))
+    if zs is not None:
+        finite = finite and math.isfinite(sum(zs))
+    if finite:
+        return tuple(map(_trusted_plane_point, xs, ys, ts, z_col))
+    return tuple(map(PlanePoint, xs, ys, ts, z_col))
 
 
 def haversine_m(

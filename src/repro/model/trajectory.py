@@ -23,11 +23,14 @@ instances; use :mod:`repro.model.projection` to get there from raw GPS.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from ..geometry.metrics import DistanceMetric, deviation as metric_deviation
-from .point import PlanePoint
+from .point import PlanePoint, plane_points_from_columns
 from .projection import UTMProjection
 
 if TYPE_CHECKING:  # runtime import stays late: columns imports point
@@ -158,7 +161,7 @@ class Trajectory:
         return max((s.deviation(metric) for s in self.segments), default=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CompressedTrajectory:
     """The ordered key points of a compressed trajectory ``T'``.
 
@@ -167,10 +170,23 @@ class CompressedTrajectory:
     remembers how many raw points it represents so compression rate
     (``N_compressed / N_original``, lower is better) can be reported the way
     the paper does.
+
+    The key points are stored as float columns: ``ts`` / ``xs`` / ``ys``
+    as ``array('d')``, plus ``zs`` only when some key point has ``z != 0``
+    (``None`` otherwise).  Build one from points (``key_points=``) or from
+    columns (``ts=``, ``xs=``, ``ys=``, ``zs=``, kept as given, not
+    copied).  :attr:`key_points` is a view that builds
+    its :class:`PlanePoint` objects on first read and caches them, so a
+    trajectory nobody reads point by point — one that is encoded, stored
+    or re-framed with ``dataclasses.replace(t, frame=...)`` — never builds
+    any.  Equality compares values, columns included; the columns must not
+    be mutated once the trajectory exists.
     """
 
-    key_points: tuple[PlanePoint, ...]
     original_count: int
+    ts: "array[float]" = field(repr=False)
+    xs: "array[float]" = field(repr=False)
+    ys: "array[float]" = field(repr=False)
     metric: DistanceMetric = DistanceMetric.POINT_TO_LINE
     tolerance: float = 0.0
     #: Short identifier of the producing compressor ("bqs", "td-tr", ...);
@@ -188,21 +204,84 @@ class CompressedTrajectory:
     frame: "UTMProjection | None" = None
     #: Extra bookkeeping from the producing algorithm (e.g. decision stats).
     info: dict[str, Any] = field(default_factory=dict, compare=False)
+    zs: "array[float] | None" = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.original_count < 0:
+    def __init__(
+        self,
+        key_points: Iterable[PlanePoint] | None = None,
+        original_count: int | None = None,
+        metric: DistanceMetric = DistanceMetric.POINT_TO_LINE,
+        tolerance: float = 0.0,
+        algorithm: str = "",
+        frame: "UTMProjection | None" = None,
+        info: dict[str, Any] | None = None,
+        *,
+        ts: "array[float] | None" = None,
+        xs: "array[float] | None" = None,
+        ys: "array[float] | None" = None,
+        zs: "array[float] | None" = None,
+    ) -> None:
+        if original_count is None:
+            raise TypeError("CompressedTrajectory needs original_count")
+        put = object.__setattr__
+        if key_points is not None:
+            # Points win over columns: dataclasses.replace passes the old
+            # columns along with a replacement ``key_points=``.
+            points = tuple(key_points)
+            ts = array("d", [p.t for p in points])
+            xs = array("d", [p.x for p in points])
+            ys = array("d", [p.y for p in points])
+            zs = array("d", [p.z for p in points])
+            self.__dict__["key_points"] = points  # the cached view
+        elif ts is None or xs is None or ys is None:
+            ts, xs, ys, zs = array("d"), array("d"), array("d"), None
+        elif not (len(ts) == len(xs) == len(ys) and (zs is None or len(zs) == len(ts))):
+            raise ValueError(
+                f"column length mismatch: ts={len(ts)}, xs={len(xs)}, "
+                f"ys={len(ys)}, zs={'-' if zs is None else len(zs)}"
+            )
+        if zs is not None and not any(zs):
+            zs = None
+        put(self, "original_count", original_count)
+        put(self, "metric", metric)
+        put(self, "tolerance", tolerance)
+        put(self, "algorithm", algorithm)
+        put(self, "frame", frame)
+        put(self, "info", {} if info is None else info)
+        put(self, "ts", ts)
+        put(self, "xs", xs)
+        put(self, "ys", ys)
+        put(self, "zs", zs)
+        n = len(ts)
+        if original_count < 0:
             raise ValueError("original_count must be non-negative")
-        if len(self.key_points) > max(self.original_count, 0) and self.original_count:
+        if n > original_count and original_count:
             raise ValueError(
                 "compressed trajectory cannot contain more points than the "
-                f"original ({len(self.key_points)} > {self.original_count})"
+                f"original ({n} > {original_count})"
             )
-        for prev, cur in zip(self.key_points, self.key_points[1:]):
-            if cur.t < prev.t:
-                raise ValueError("key points must be non-decreasing in time")
+        if n > 1 and any(map(operator.gt, ts, ts[1:])):
+            raise ValueError("key points must be non-decreasing in time")
+
+    @cached_property
+    def key_points(self) -> tuple[PlanePoint, ...]:
+        """The key points as :class:`PlanePoint`\\ s, built on first read."""
+        return plane_points_from_columns(self.xs, self.ys, self.ts, self.zs)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The cached point view is rebuilt on demand, never pickled.
+        state = dict(self.__dict__)
+        state.pop("key_points", None)
+        return state
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.original_count, self.metric, self.tolerance, self.algorithm,
+             tuple(self.ts), tuple(self.xs), tuple(self.ys))
+        )
 
     def __len__(self) -> int:
-        return len(self.key_points)
+        return len(self.ts)
 
     def __iter__(self) -> Iterator[PlanePoint]:
         return iter(self.key_points)
@@ -212,21 +291,21 @@ class CompressedTrajectory:
         """``N_compressed / N_original`` (paper Section VI-B; lower = better)."""
         if self.original_count == 0:
             return 0.0
-        return len(self.key_points) / self.original_count
+        return len(self) / self.original_count
 
     @property
     def compression_ratio(self) -> float:
         """``N_original / N_compressed`` (the conventional ratio; higher = better)."""
-        if not self.key_points:
+        if not len(self):
             return 0.0
-        return self.original_count / len(self.key_points)
+        return self.original_count / len(self)
 
     def storage_bytes(self, bytes_per_point: int = GPS_SAMPLE_BYTES) -> int:
         """Bytes needed to store the key points on the target platform."""
-        return len(self.key_points) * bytes_per_point
+        return len(self) * bytes_per_point
 
     def to_columns(self) -> "TrajectoryColumns":
-        """Shred the key points into flat ``(ts, xs, ys)`` columns.
+        """The stored ``(ts, xs, ys)`` columns, not copied.
 
         The serialization hook used by :mod:`repro.storage.codec`: the
         binary codec delta-encodes these columns, and decoding produces a
@@ -235,7 +314,7 @@ class CompressedTrajectory:
         """
         from .columns import TrajectoryColumns  # late: columns imports point
 
-        return TrajectoryColumns.from_points(self.key_points)
+        return TrajectoryColumns.wrap(self.ts, self.xs, self.ys)
 
     def segments(self) -> list[tuple[PlanePoint, PlanePoint]]:
         """The (start, end) pairs of every compressed segment."""

@@ -242,7 +242,7 @@ def _encode_with_bounds(
     buf += name
     buf += _F64.pack(trajectory.tolerance)
     _append_uvarint(buf, trajectory.original_count)
-    _append_uvarint(buf, len(trajectory.key_points))
+    _append_uvarint(buf, len(trajectory))
     buf += _F64.pack(xy_quantum)
     buf += _F64.pack(t_quantum)
     if projection is not None:
@@ -313,8 +313,11 @@ class DecodedTrajectory:
         ``frame``, so re-encoding a decoded blob stays byte-identical even
         for zone-stamped blobs.
         """
+        cols = self.columns
         return CompressedTrajectory(
-            key_points=tuple(self.key_points()),
+            ts=cols.ts,
+            xs=cols.xs,
+            ys=cols.ys,
             original_count=self.original_count,
             metric=self.metric,
             tolerance=self.epsilon,

@@ -569,8 +569,8 @@ class TrajectoryStore:
         ``frame`` (stamped by the geodetic engine) — goes into both the
         blob header and the index envelope.
         """
-        key_points = trajectory.key_points
-        if not key_points:
+        n_keys = len(trajectory)
+        if not n_keys:
             raise ValueError("cannot store an empty trajectory (no key points)")
         if projection is None:
             projection = trajectory.frame
@@ -605,7 +605,7 @@ class TrajectoryStore:
             projection.zone if projection is not None else 0,
             1 if projection is not None and projection.south else 0,
         )
-        _append_uvarint(payload, len(key_points))
+        _append_uvarint(payload, n_keys)
         _append_uvarint(payload, len(blob))
         payload += blob
 
@@ -615,7 +615,7 @@ class TrajectoryStore:
             segment=segment,
             offset=offset,
             length=length,
-            n_key_points=len(key_points),
+            n_key_points=n_keys,
             t_min=t_min,
             t_max=t_max,
             x_min=x_min,
@@ -1335,7 +1335,7 @@ class StoreSink:
         return self._store
 
     def emit(self, device_id, trajectory: CompressedTrajectory) -> None:
-        if not trajectory.key_points:
+        if not len(trajectory):
             self.skipped_empty += 1
             return
         self._store.append(

@@ -170,18 +170,19 @@ class TestBQSBufferBehaviour:
 
     def test_retained_state_clears_on_segment_split(self, track):
         c = BQSCompressor(EPSILON)
-        saw_nonempty = False
+        saw_more = False
         for p in track[:2000]:
             result = c.push(p)
             if result.committed and result.decided_by != Decision.INIT:
-                # The quadrant hulls restart with the freshly opened segment.
-                assert c.buffered_points == 1
-            saw_nonempty = saw_nonempty or c.buffered_points > 1
-        assert saw_nonempty
+                # The new segment holds the arrival only: one ring entry,
+                # or one far point at both ends of the interval.
+                assert c.buffered_points <= 2
+            saw_more = saw_more or c.buffered_points > 2
+        assert saw_more
 
     def test_default_mode_keeps_no_buffer_and_sublinear_state(self, track):
-        """The production path retains hull vertices only — no point buffer,
-        and far fewer retained points than the longest segment."""
+        """The production path keeps no point buffer, and far fewer retained
+        points (ring and end-band entries) than the longest segment."""
         c = BQSCompressor(EPSILON)
         for p in track[:5000]:
             c.push(p)
@@ -192,58 +193,6 @@ class TestBQSBufferBehaviour:
             b.t - a.t for a, b in zip(c.key_points, c.key_points[1:])
         )
         assert c.buffer_peak < longest_segment
-
-    def test_bounds_bracket_exact_deviation(self, track):
-        """lower <= exact <= upper on live quadrant state, many arrivals."""
-        from repro.geometry import max_distance_to_line_origin
-
-        c = BQSCompressor(EPSILON, debug_audit=True)
-        checked = 0
-        for p in track[:1500]:
-            anchor = c._anchor
-            if anchor is not None and c.audit_buffered >= 2:
-                direction = (p.x - anchor.x, p.y - anchor.y)
-                interior = [
-                    (q.x - anchor.x, q.y - anchor.y) for q in c._buffer
-                ]
-                exact = max_distance_to_line_origin(interior, direction)
-                lower = max(q.lower_bound(direction) for q in c._quadrants)
-                upper = max(q.upper_bound(direction) for q in c._quadrants)
-                assert lower <= exact + 1e-9
-                assert exact <= upper + 1e-9
-                checked += 1
-            c.push(p)
-        assert checked > 1000
-
-    def test_hull_summarises_buffer_exactly(self, track):
-        """Hull-vertex max deviation equals the buffered exact deviation."""
-        from repro.geometry import max_distance_to_line_origin
-
-        c = BQSCompressor(EPSILON, debug_audit=True)
-        checked = 0
-        for p in track[:1200]:
-            anchor = c._anchor
-            if anchor is not None and c.audit_buffered >= 2:
-                direction = (p.x - anchor.x, p.y - anchor.y)
-                buffered = [
-                    (q.x - anchor.x, q.y - anchor.y) for q in c._buffer
-                ]
-                exact = max_distance_to_line_origin(buffered, direction)
-                via_hull = max(
-                    q.hull_max_deviation(direction) for q in c._quadrants
-                )
-                assert via_hull == pytest.approx(exact, abs=1e-9)
-                checked += 1
-            c.push(p)
-        assert checked > 800
-
-    def test_significant_points_capped_at_eight(self, track):
-        c = BQSCompressor(EPSILON)
-        for p in track[:1500]:
-            c.push(p)
-            for q in c._quadrants:
-                assert len(q.significant_points()) <= 8
-
 
 class TestFastBQSConstantState:
     """Acceptance criterion: Fast-BQS keeps O(1) state per point."""
@@ -261,10 +210,6 @@ class TestFastBQSConstantState:
             c.push(p)
             assert c.state_point_count() <= 2
             assert len(c._quadrants) == 4
-            for q in c._quadrants:
-                # Hull-free quadrants hold aggregate floats only.
-                assert q.hull == []
-                assert q.significant_points() == []
 
     def test_no_buffer_attribute(self):
         assert not hasattr(FastBQSCompressor(EPSILON), "_buffer")

@@ -5,11 +5,9 @@ The optimized machinery this suite pins down:
 * ``push_many()`` (batched, allocation-lean) must produce *identical* key
   points, stats and outputs to a per-point ``push()`` loop for every
   compressor, across seeds and an epsilon sweep;
-* the optimized BQS (hull-based exact fallback, cached bounded areas) must
-  agree with the ``debug_audit`` reference mode, which cross-checks every
-  exact decision against a brute-force buffer scan;
-* :class:`repro.geometry.planar.IncrementalHull` must reproduce the batch
-  :func:`repro.geometry.planar.convex_hull` exactly under insertion.
+* BQS must agree with its ``debug_audit`` reference mode, which
+  cross-checks every decision against a brute-force buffer scan;
+* Fast-BQS's cached bounded areas must stay valid upper bounds.
 """
 
 import math
@@ -26,8 +24,7 @@ from repro.compression import (
     UniformSampler,
     synthetic_track,
 )
-from repro.compression.bqs import QuadrantState
-from repro.geometry.planar import IncrementalHull, convex_hull
+from repro.compression import QuadrantState
 from repro.model import PlanePoint
 
 
@@ -111,7 +108,7 @@ class TestPushManyEquivalence:
 
 
 class TestOptimizedBQSMatchesAuditReference:
-    """The hull-based exact fallback vs the buffered brute-force reference."""
+    """The arc-interval decider vs the buffered brute-force reference."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7])
     @pytest.mark.parametrize("epsilon", [3.0, 10.0])
@@ -120,8 +117,8 @@ class TestOptimizedBQSMatchesAuditReference:
         optimized = BQSCompressor(epsilon)
         audited = BQSCompressor(epsilon, debug_audit=True)
         fast = optimized.compress(track)
-        # debug_audit raises RuntimeError internally if the hull-based
-        # exact deviation ever diverges from the buffered scan.
+        # debug_audit raises RuntimeError internally if any decision ever
+        # diverges from the buffered scan.
         reference = audited.compress(track)
         assert fast.key_points == reference.key_points
         assert optimized.stats == audited.stats
@@ -149,99 +146,9 @@ class TestOptimizedBQSMatchesAuditReference:
         assert plain._buffer is None
 
 
-class TestIncrementalHull:
-    def _point_sets(self):
-        rng = random.Random(42)
-        sets = []
-        for trial in range(120):
-            n = rng.randint(1, 150)
-            kind = trial % 6
-            pts = []
-            for _ in range(n):
-                if kind == 0:
-                    pts.append((rng.uniform(-50, 50), rng.uniform(-50, 50)))
-                elif kind == 1:  # integer lattice: duplicates + collinear runs
-                    pts.append((float(rng.randint(-4, 4)), float(rng.randint(-4, 4))))
-                elif kind == 2:  # exactly-representable collinear run
-                    s = float(rng.randint(-9, 9))
-                    pts.append((s, 2.0 * s - 3.0))
-                elif kind == 3:  # vertical line
-                    pts.append((3.0, rng.uniform(-9, 9)))
-                elif kind == 4:  # tight cluster (near-degenerate geometry)
-                    pts.append((rng.gauss(0, 1e-3), rng.gauss(0, 1e-3)))
-                else:  # circle rim: every point is a hull vertex
-                    a = rng.uniform(0, 2 * math.pi)
-                    pts.append((math.cos(a), math.sin(a)))
-            sets.append(pts)
-        return sets
-
-    def test_matches_batch_convex_hull_exactly(self):
-        for pts in self._point_sets():
-            hull = IncrementalHull()
-            for p in pts:
-                hull.add(p)
-            assert hull.vertices() == convex_hull(pts)
-            assert len(hull) == len(convex_hull(pts))
-
-    def test_matches_batch_hull_at_every_prefix(self):
-        rng = random.Random(1)
-        pts = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(80)]
-        hull = IncrementalHull()
-        for i, p in enumerate(pts, start=1):
-            hull.add(p)
-            assert hull.vertices() == convex_hull(pts[:i]), f"prefix {i}"
-
-    def test_near_collinear_noise_keeps_bounding_property(self):
-        """Points collinear only up to fp rounding: the incremental and
-        batch hulls may legitimately pick different boundary-grazing
-        vertices, but the property BQS relies on — the hull's max cross
-        equals the max over *all* points — must survive."""
-        rng = random.Random(2)
-        for _ in range(30):
-            pts = []
-            for _ in range(rng.randint(3, 120)):
-                s = rng.uniform(-9, 9)
-                pts.append((s, -1.5 * s + 2.0))  # inexact sum: ULP noise
-            hull = IncrementalHull(pts)
-            for _ in range(10):
-                dx, dy = rng.uniform(-3, 3), rng.uniform(-3, 3)
-                brute = max(abs(dx * y - dy * x) for x, y in pts)
-                assert hull.max_abs_cross(dx, dy) == pytest.approx(
-                    brute, rel=1e-9, abs=1e-9
-                )
-
-    def test_add_returns_net_vertex_delta(self):
-        hull = IncrementalHull()
-        assert hull.add((0.0, 0.0)) == 1
-        assert hull.add((2.0, 0.0)) == 1
-        assert hull.add((1.0, 2.0)) == 1
-        assert hull.add((1.0, 0.5)) == 0  # interior: nothing retained
-        assert hull.add((0.0, 0.0)) == 0  # duplicate vertex
-        assert len(hull) == 3
-
-    def test_max_abs_cross_agrees_with_vertex_scan(self):
-        rng = random.Random(9)
-        for pts in self._point_sets()[:40]:
-            hull = IncrementalHull(pts)
-            dx, dy = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            expected = max(
-                (abs(dx * y - dy * x) for x, y in hull.vertices()),
-                default=0.0,
-            )
-            assert hull.max_abs_cross(dx, dy) == pytest.approx(expected, abs=0.0)
-
-    def test_clear_reuses_state(self):
-        hull = IncrementalHull([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)])
-        hull.clear()
-        assert len(hull) == 0
-        assert hull.vertices() == []
-        hull.add((3.0, 3.0))
-        assert hull.vertices() == [(3.0, 3.0)]
-
-
 class TestQuadrantCache:
     def test_interior_point_keeps_bounded_area_cache(self):
-        q = QuadrantState(track_hull=True)
+        q = QuadrantState()
         q.add((1.0, 1.0))
         q.add((6.0, 2.0))
         q.add((3.0, 6.0))
@@ -254,7 +161,7 @@ class TestQuadrantCache:
         assert q.bounded_area() is not area
 
     def test_wedge_widening_invalidates_cache(self):
-        q = QuadrantState(track_hull=True)
+        q = QuadrantState()
         q.add((4.0, 1.0))
         q.add((4.0, 3.0))
         q.add((10.0, 1.5))
@@ -265,7 +172,7 @@ class TestQuadrantCache:
 
     def test_cached_area_still_bounds_all_points(self):
         rng = random.Random(5)
-        q = QuadrantState(track_hull=True)
+        q = QuadrantState()
         pts = []
         for _ in range(300):
             p = (rng.uniform(0.1, 30.0), rng.uniform(0.1, 30.0))
@@ -273,5 +180,6 @@ class TestQuadrantCache:
             q.add(p)
             direction = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             upper = q.upper_bound(direction)
-            exact = q.hull_max_deviation(direction)
+            norm = math.hypot(*direction)
+            exact = max(abs(direction[0] * y - direction[1] * x) for x, y in pts) / norm
             assert upper >= exact - 1e-9

@@ -8,7 +8,6 @@ import pytest
 from repro.geometry import (
     convex_hull,
     max_distance_to_line_origin,
-    min_distance_on_segment_to_line_origin,
     point_in_convex_polygon,
     point_line_distance,
     point_line_distance_origin,
@@ -113,21 +112,6 @@ class TestWedgeBoxHelpers:
             actual = max_distance_to_line_origin(pts, direction)
             assert bound >= actual - 1e-9
 
-    def test_min_distance_on_segment_crossing_line_is_zero(self):
-        assert min_distance_on_segment_to_line_origin(
-            (1.0, -1.0), (1.0, 1.0), (1.0, 0.0)
-        ) == pytest.approx(0.0)
-
-    def test_min_distance_on_parallel_segment(self):
-        assert min_distance_on_segment_to_line_origin(
-            (0.0, 2.0), (5.0, 2.0), (1.0, 0.0)
-        ) == pytest.approx(2.0)
-
-    def test_min_distance_degenerate_direction(self):
-        assert min_distance_on_segment_to_line_origin(
-            (3.0, 4.0), (6.0, 8.0), (0.0, 0.0)
-        ) == pytest.approx(5.0)
-
 
 class TestProjectionRoundTrip:
     def test_utm_round_trip_is_submillimetre(self):
@@ -231,12 +215,84 @@ class TestSegmentRectDistance:
             else:
                 assert d <= sampled + 1e-9
 
-    def test_segments_intersect_cases(self):
-        from repro.geometry.planar import segments_intersect
+    def test_infinite_and_huge_bounds(self):
+        """The chord (105, 1e6)–(108, 2e6) is 5 m from ``x <= 100``
+        whatever the other bounds are: infinite, huge or finite."""
+        from repro.geometry.planar import segment_rect_distance
 
-        assert segments_intersect((0, 0), (4, 0), (2, -1), (2, 1))
-        assert segments_intersect((0, 0), (1, 0), (1, 0), (1, 1))  # touch
-        assert segments_intersect((0, 0), (4, 0), (1, 0), (3, 0))  # collinear overlap
-        assert not segments_intersect((0, 0), (1, 0), (3, 0), (4, 0))  # collinear gap
-        assert not segments_intersect((0, 0), (1, 0), (5, -1), (5, 1))
-        assert not segments_intersect((0, 0), (1, 0), (2, 0), (2, 1))  # beyond end
+        inf = math.inf
+        a, b = (105.0, 1e6), (108.0, 2e6)
+        for x_min, y_min, y_max in [
+            (-inf, 0.0, inf),
+            (-inf, -inf, 3e6),
+            (-1e20, -1e20, 1e20),
+            (-1e300, -1e300, 1e300),
+            (-inf, -inf, inf),
+            (0.0, 0.0, 3e6),
+        ]:
+            d = segment_rect_distance(a, b, x_min, y_min, 100.0, y_max)
+            assert d == pytest.approx(5.0, abs=1e-9), (x_min, y_min, y_max)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_with_extreme_bounds(self, seed):
+        """Seeded property test against a dense sampler along the chord,
+        with infinite, huge and degenerate inputs (zero-length chords,
+        zero-width rectangles)."""
+        from repro.geometry.planar import segment_rect_distance
+
+        rng = random.Random(seed)
+        huge = (math.inf, 1e20, 1e300)
+        samples = 2000
+        for _ in range(300):
+            a = (rng.uniform(-50, 50), rng.uniform(-50, 50))
+            b = a if rng.random() < 0.1 else (rng.uniform(-50, 50), rng.uniform(-50, 50))
+            x0, y0 = rng.uniform(-30, 20), rng.uniform(-30, 20)
+            x1 = x0 if rng.random() < 0.1 else x0 + rng.uniform(0.0, 30)
+            y1 = y0 if rng.random() < 0.1 else y0 + rng.uniform(0.0, 30)
+            if rng.random() < 0.5:
+                x0 = -rng.choice(huge) if rng.random() < 0.5 else x0
+                y0 = -rng.choice(huge) if rng.random() < 0.5 else y0
+                x1 = rng.choice(huge) if rng.random() < 0.5 else x1
+                y1 = rng.choice(huge) if rng.random() < 0.5 else y1
+            d = segment_rect_distance(a, b, x0, y0, x1, y1)
+            brute = min(
+                math.hypot(
+                    max(x0 - x, 0.0, x - x1), max(y0 - y, 0.0, y - y1)
+                )
+                for k in range(samples + 1)
+                for x, y in [(
+                    a[0] + (b[0] - a[0]) * k / samples,
+                    a[1] + (b[1] - a[1]) * k / samples,
+                )]
+            )
+            step = math.hypot(b[0] - a[0], b[1] - a[1]) / samples
+            assert not math.isnan(d)
+            assert brute - step - 1e-9 <= d <= brute + 1e-9, (a, b, x0, y0, x1, y1)
+
+    def test_polar_chord_found_by_geo_range_query(self, tmp_path):
+        """A rectangle reaching the pole projects with an infinite northing;
+        a chord passing beside it, both ends outside, must still match in
+        exact mode.  The raw fix between the ends lies inside the
+        rectangle, so missing it is a false negative."""
+        from dataclasses import replace
+
+        from repro.compression import BQSCompressor
+        from repro.model import PlanePoint, UTMProjection
+        from repro.storage import TrajectoryStore, geo_range_query, geo_rect_to_plane
+
+        frame = UTMProjection(zone=33, south=False)
+        rect = (89.995, 14.0, 90.0, 16.0)
+        assert geo_rect_to_plane(rect, frame)[3] == math.inf
+        x, y = frame.forward(89.9952, 15.9)
+        lat, lon = frame.inverse(x, y)
+        assert rect[0] <= lat <= rect[2] and rect[1] <= lon <= rect[3]
+        track = [
+            PlanePoint(x + 12.0, y - 100.0, 0.0),
+            PlanePoint(x, y, 1.0),
+            PlanePoint(x + 12.0, y + 100.0, 2.0),
+        ]
+        out = BQSCompressor(20.0).compress(track)
+        assert len(out) == 2  # the inside fix is dropped
+        with TrajectoryStore(tmp_path / "polar") as store:
+            store.append("dev", replace(out, frame=frame))
+            assert [m.device_id for m in geo_range_query(store, rect)] == ["dev"]
