@@ -4,12 +4,14 @@ compression on the go" (Liu et al., ICDE 2015).
 Three layers, lowest first:
 
 ``repro.geometry``
-    Dependency-free 2-D math kernels: distances, hulls, the wedge/box
-    bound helpers behind the BQS deviation bounds.
+    Dependency-free 2-D math kernels: distances and deviation metrics,
+    the box ∩ wedge clip behind Fast-BQS's upper bound, and the
+    segment–rectangle distance behind the range queries.
 
 ``repro.model``
-    The data model: GPS and plane points, projections, trajectories,
-    compressed trajectories, temporal reconstruction, online statistics.
+    The data model: GPS and plane points, projections, float columns,
+    compressed trajectories, and their synchronized-deviation (SED) audit
+    under temporal reconstruction.
 
 ``repro.compression``
     The streaming compressors — BQS, Fast-BQS, dead reckoning, uniform
@@ -49,8 +51,6 @@ from .model import (
     CompressedTrajectory,
     LocationPoint,
     PlanePoint,
-    Segment,
-    Trajectory,
     TrajectoryColumns,
 )
 from .storage import StoreSink, TrajectoryStore
@@ -66,14 +66,12 @@ __all__ = [
     "ListSink",
     "LocationPoint",
     "PlanePoint",
-    "Segment",
     "ShardedStreamEngine",
     "Sink",
     "StoreSink",
     "StreamEngine",
     "StreamingCompressor",
     "TDTRCompressor",
-    "Trajectory",
     "TrajectoryColumns",
     "TrajectoryStore",
     "UniformSampler",

@@ -50,11 +50,7 @@ _UPPER_COMMIT = (True, 2)
 
 
 def polar_angle(x: float, y: float) -> float:
-    """Polar angle of ``(x, y)`` in ``[0, 2π)``; 0 for the origin itself.
-
-    Same convention as :func:`repro.geometry.planar.angle_of`, taking bare
-    coordinates so hot-path callers skip the tuple build.
-    """
+    """Polar angle of ``(x, y)`` in ``[0, 2π)``; 0 for the origin itself."""
     if x == 0.0 and y == 0.0:
         return 0.0
     theta = math.atan2(y, x)

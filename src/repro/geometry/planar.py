@@ -1,15 +1,15 @@
 """Planar geometry kernel.
 
-Pure-math helpers shared by the BQS structures, the baselines and the
-evaluation harness.  Everything operates on plain ``(x, y)`` float pairs so
+Pure-math helpers shared by the compressors, the deviation metrics and the
+store's range queries.  Everything operates on plain ``(x, y)`` float pairs so
 the module has no dependency on the data model; distances are Euclidean and
 in the same unit as the inputs (metres throughout this library).
 
 The paper's deviation metric (Section IV) is the distance from a point to
 the *infinite line* through a segment's start and end points; the
 point-to-line-segment variant (Section V-G) is also provided, as are the
-convex hulls and the box ∩ wedge clip behind the BQS bounds, and the
-segment / rectangle distances behind the store's range queries.
+box ∩ wedge clip behind Fast-BQS's upper bound and the segment / rectangle
+distance behind the store's range queries.
 """
 
 from __future__ import annotations
@@ -24,14 +24,10 @@ __all__ = [
     "cross",
     "dot",
     "norm",
-    "normalize_angle",
-    "angle_of",
     "point_line_distance",
     "point_line_distance_origin",
     "point_segment_distance",
     "segment_rect_distance",
-    "convex_hull",
-    "point_in_convex_polygon",
     "rectangle_corners",
     "wedge_box_polygon",
     "max_distance_to_line_origin",
@@ -54,21 +50,6 @@ def norm(a: Vec2) -> float:
     return math.hypot(a[0], a[1])
 
 
-def normalize_angle(theta: float) -> float:
-    """Wrap an angle into ``[0, 2π)``."""
-    wrapped = math.fmod(theta, 2.0 * math.pi)
-    if wrapped < 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped
-
-
-def angle_of(p: Vec2) -> float:
-    """Polar angle of ``p`` in ``[0, 2π)``; 0 for the origin itself."""
-    if p[0] == 0.0 and p[1] == 0.0:
-        return 0.0
-    return normalize_angle(math.atan2(p[1], p[0]))
-
-
 def point_line_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     """Distance from ``p`` to the infinite line through ``a`` and ``b``.
 
@@ -88,8 +69,8 @@ def point_line_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
 def point_line_distance_origin(p: Vec2, direction: Vec2) -> float:
     """Distance from ``p`` to the line through the origin along ``direction``.
 
-    This is the hot path inside the BQS bound computation, where every path
-    line passes through the (possibly rotated) segment origin.
+    Every path line a quadrant bound is measured against passes through the
+    segment's anchor, which is the origin in anchor-relative coordinates.
     """
     denom = norm(direction)
     if denom == 0.0:
@@ -182,56 +163,6 @@ def segment_rect_distance(
     return best
 
 
-def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
-    """Convex hull by Andrew's monotone chain, counter-clockwise.
-
-    Collinear points on the hull boundary are dropped.  Returns the input
-    for fewer than 3 distinct points.
-    """
-    pts = sorted(set((float(x), float(y)) for x, y in points))
-    if len(pts) <= 2:
-        return pts
-
-    def half(chain_pts: Iterable[Vec2]) -> list[Vec2]:
-        chain: list[Vec2] = []
-        for p in chain_pts:
-            while len(chain) >= 2:
-                o, q = chain[-2], chain[-1]
-                if cross((q[0] - o[0], q[1] - o[1]), (p[0] - o[0], p[1] - o[1])) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
-def point_in_convex_polygon(p: Vec2, polygon: Sequence[Vec2]) -> bool:
-    """Whether ``p`` lies inside (or on) a counter-clockwise convex polygon.
-
-    Degenerate polygons (fewer than 3 vertices) only contain their own
-    vertices and the segment between them; that case is handled through the
-    same cross-product test (collinearity plus a bounding check).
-    """
-    n = len(polygon)
-    if n == 0:
-        return False
-    if n == 1:
-        return p == polygon[0]
-    if n == 2:
-        a, b = polygon
-        return point_segment_distance(p, a, b) <= 1e-12
-    for i in range(n):
-        a = polygon[i]
-        b = polygon[(i + 1) % n]
-        if cross((b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1])) < -1e-12:
-            return False
-    return True
-
-
 def rectangle_corners(
     min_x: float, min_y: float, max_x: float, max_y: float
 ) -> list[Vec2]:
@@ -322,10 +253,9 @@ def max_distance_to_line_origin(
 ) -> float:
     """Max distance from ``points`` to the origin line along ``direction``.
 
-    This is the vertex scan used for both BQS bounds: applied to a bounded
-    area polygon it yields the upper bound; applied to the quadrant's
-    significant points (which are actual trajectory points) it yields the
-    lower bound.
+    Applied to a quadrant's bounded-area polygon it yields Fast-BQS's upper
+    bound; :meth:`~repro.compression.fast_bqs.QuadrantState.upper_bound`
+    falls back to it for a zero-length path line.
     """
     best = 0.0
     for p in points:
@@ -339,9 +269,9 @@ def max_abs_cross(points: Iterable[Vec2], dx: float, dy: float) -> float:
     """``max |dx*y - dy*x|`` over ``points`` (0 for no points).
 
     This is :func:`max_distance_to_line_origin` scaled by ``hypot(dx, dy)``:
-    the BQS hot path computes crosses only and compares them against a
-    tolerance pre-multiplied by the direction norm, saving one ``hypot`` and
-    one division per vertex per arrival.
+    Fast-BQS's upper-bound check computes crosses only and compares them
+    against a tolerance pre-multiplied by the direction norm, saving one
+    ``hypot`` and one division per vertex per arrival.
     """
     best = 0.0
     for x, y in points:

@@ -1,65 +1,25 @@
-"""Trajectory data model: points, projections, trajectories, reconstruction."""
+"""Trajectory data model: points, projections, compressed trajectories, SED."""
 
 from .columns import TrajectoryColumns
-from .point import EARTH_RADIUS_M, LocationPoint, PlanePoint, haversine_m, iter_plane_points
+from .point import LocationPoint, PlanePoint
 from .projection import (
     LocalTangentProjection,
-    Projection,
     TransverseMercator,
     UTMProjection,
-    project_track,
-    unproject_track,
     utm_zone_for,
 )
-from .reconstruction import (
-    GaussianProgress,
-    ProgressDistribution,
-    UniformProgress,
-    interpolate,
-    max_synchronized_deviation,
-    reconstruct_at,
-    reconstruct_series,
-    synchronized_deviation,
-    synchronized_deviation_xyt,
-)
-from .statistics import EmpiricalDistribution, OnlineGaussian, RunningStats
-from .trajectory import (
-    GPS_SAMPLE_BYTES,
-    CompressedTrajectory,
-    Segment,
-    Trajectory,
-    segment_deviation,
-)
+from .reconstruction import max_synchronized_deviation, synchronized_deviation_xyt
+from .trajectory import CompressedTrajectory
 
 __all__ = [
-    "EARTH_RADIUS_M",
-    "GPS_SAMPLE_BYTES",
     "CompressedTrajectory",
-    "EmpiricalDistribution",
-    "GaussianProgress",
     "LocalTangentProjection",
     "LocationPoint",
-    "OnlineGaussian",
     "PlanePoint",
-    "Projection",
-    "ProgressDistribution",
-    "RunningStats",
-    "Segment",
-    "Trajectory",
     "TrajectoryColumns",
     "TransverseMercator",
     "UTMProjection",
-    "UniformProgress",
-    "haversine_m",
-    "interpolate",
-    "iter_plane_points",
     "max_synchronized_deviation",
-    "project_track",
-    "reconstruct_at",
-    "reconstruct_series",
-    "segment_deviation",
-    "synchronized_deviation",
     "synchronized_deviation_xyt",
-    "unproject_track",
     "utm_zone_for",
 ]

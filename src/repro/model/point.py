@@ -22,19 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Iterable, Iterator, Sequence, cast
+from typing import Any, Iterable, Sequence, cast
 
 __all__ = [
     "LocationPoint",
     "PlanePoint",
-    "EARTH_RADIUS_M",
-    "haversine_m",
     "plane_points_from_columns",
     "plane_points_from_flat",
 ]
-
-#: Mean Earth radius in metres (IUGG value), used by the haversine helper.
-EARTH_RADIUS_M = 6_371_008.8
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,12 +55,6 @@ class LocationPoint:
             raise ValueError(f"longitude out of range: {self.longitude!r}")
         if not math.isfinite(self.timestamp):
             raise ValueError(f"timestamp must be finite: {self.timestamp!r}")
-
-    def distance_m(self, other: "LocationPoint") -> float:
-        """Great-circle distance to ``other`` in metres (haversine)."""
-        return haversine_m(
-            self.latitude, self.longitude, other.latitude, other.longitude
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,23 +84,6 @@ class PlanePoint:
     def xy(self) -> tuple[float, float]:
         """The planar coordinate pair ``(x, y)``."""
         return (self.x, self.y)
-
-    @property
-    def xyz(self) -> tuple[float, float, float]:
-        """The 3-D coordinate triple ``(x, y, z)``."""
-        return (self.x, self.y, self.z)
-
-    def distance_to(self, other: "PlanePoint") -> float:
-        """Euclidean planar distance (ignores ``z``) in metres."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def distance3d_to(self, other: "PlanePoint") -> float:
-        """Euclidean 3-D distance in metres."""
-        return math.sqrt(
-            (self.x - other.x) ** 2
-            + (self.y - other.y) ** 2
-            + (self.z - other.z) ** 2
-        )
 
     def translated(self, dx: float, dy: float, dz: float = 0.0) -> "PlanePoint":
         """A copy shifted by ``(dx, dy, dz)``; the timestamp is preserved."""
@@ -179,46 +151,3 @@ def plane_points_from_columns(
     if finite:
         return tuple(map(_trusted_plane_point, xs, ys, ts, z_col))
     return tuple(map(PlanePoint, xs, ys, ts, z_col))
-
-
-def haversine_m(
-    lat1: float, lon1: float, lat2: float, lon2: float
-) -> float:
-    """Great-circle distance between two geographic coordinates in metres.
-
-    Uses the haversine formulation, which is numerically stable for the
-    short distances that dominate trajectory work.
-    """
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = (
-        math.sin(dphi / 2.0) ** 2
-        + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
-
-
-def iter_plane_points(
-    xs: Sequence[float] | Iterable[float],
-    ys: Sequence[float] | Iterable[float],
-    ts: Sequence[float] | Iterable[float] | None = None,
-) -> Iterator[PlanePoint]:
-    """Zip coordinate sequences into :class:`PlanePoint` instances.
-
-    When ``ts`` is omitted, points are stamped ``0, 1, 2, ...`` which is the
-    convention used by unit-interval synthetic streams in tests.
-    """
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    if ts is None:
-        ts_list = [float(i) for i in range(len(xs))]
-    else:
-        ts_list = [float(t) for t in ts]
-        if len(ts_list) != len(xs):
-            raise ValueError("ts must match xs/ys length")
-    for x, y, t in zip(xs, ys, ts_list):
-        yield PlanePoint(float(x), float(y), t)

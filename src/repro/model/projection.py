@@ -20,8 +20,10 @@ implements, from scratch:
     tracks and back; its distortion over the ≤10 km extents involved is
     negligible relative to GPS noise.
 
-All projections implement the small :class:`Projection` protocol so that the
-rest of the library never cares which one produced its ``PlanePoint``s.
+All three offer ``forward(lat, lon) -> (x, y)``, ``inverse(x, y) ->
+(lat, lon)`` and the bulk ``forward_columns(lats, lons) -> (xs, ys)``, so
+the rest of the library never cares which one produced its plane
+coordinates.
 """
 
 from __future__ import annotations
@@ -29,18 +31,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
-
-from .point import LocationPoint, PlanePoint
+from typing import Sequence
 
 __all__ = [
-    "Projection",
     "TransverseMercator",
     "UTMProjection",
     "LocalTangentProjection",
     "utm_zone_for",
-    "project_track",
-    "unproject_track",
 ]
 
 # WGS-84 ellipsoid constants.
@@ -49,24 +46,6 @@ WGS84_F = 1.0 / 298.257_223_563
 UTM_SCALE = 0.9996
 UTM_FALSE_EASTING = 500_000.0
 UTM_FALSE_NORTHING_SOUTH = 10_000_000.0
-
-
-class Projection(Protocol):
-    """Minimal bidirectional projection interface.
-
-    The concrete projections in this module additionally provide
-    ``forward_columns(lats, lons) -> (xs, ys)``, the bulk twin of
-    :meth:`forward` used by the geodetic ingestion path; it is kept out of
-    the protocol so a two-method custom projection still satisfies it.
-    """
-
-    def forward(self, latitude: float, longitude: float) -> tuple[float, float]:
-        """Geographic degrees -> planar metres ``(x, y)``."""
-        ...
-
-    def inverse(self, x: float, y: float) -> tuple[float, float]:
-        """Planar metres -> geographic degrees ``(latitude, longitude)``."""
-        ...
 
 
 def _kruger_alpha(n: float) -> tuple[float, ...]:
@@ -384,48 +363,3 @@ class LocalTangentProjection:
             x / (self.radius_m * cos_ref)
         )
         return (latitude, longitude)
-
-
-def project_track(
-    points: Iterable[LocationPoint],
-    projection: Projection | None = None,
-    z_from_altitude: bool = False,
-) -> list[PlanePoint]:
-    """Project GPS fixes into one continuous metric plane.
-
-    When ``projection`` is omitted, the UTM zone of the first fix is used
-    for the whole track (the standard convention for single-deployment
-    trajectory datasets).  With ``z_from_altitude`` the plane points carry
-    altitude in ``z`` for 3-D compression.
-    """
-    pts = list(points)
-    if not pts:
-        return []
-    if projection is None:
-        projection = UTMProjection.for_coordinate(pts[0].latitude, pts[0].longitude)
-    out: list[PlanePoint] = []
-    for p in pts:
-        x, y = projection.forward(p.latitude, p.longitude)
-        z = p.altitude if z_from_altitude else 0.0
-        out.append(PlanePoint(x, y, p.timestamp, z))
-    return out
-
-
-def unproject_track(
-    points: Iterable[PlanePoint],
-    projection: Projection,
-    z_is_altitude: bool = False,
-) -> list[LocationPoint]:
-    """Invert :func:`project_track` for a given projection."""
-    out: list[LocationPoint] = []
-    for p in points:
-        lat, lon = projection.inverse(p.x, p.y)
-        out.append(
-            LocationPoint(
-                latitude=lat,
-                longitude=lon,
-                timestamp=p.t,
-                altitude=p.z if z_is_altitude else 0.0,
-            )
-        )
-    return out

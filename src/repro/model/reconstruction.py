@@ -5,120 +5,27 @@ re-created at query time:
 
     v_t = < h_lat(P, v_s, v_e, t), h_lon(P, v_s, v_e, t), t >      (Eq. 1)
 
-where ``P`` is a progress distribution over the segment's time window and
-``h`` linearly mixes the endpoint coordinates by ``P(t)``:
+where ``P`` is the progress over the segment's time window and ``h``
+linearly mixes the endpoint coordinates by ``P(t)``:
 
     P(t) = (t - v_s.t) / (v_e.t - v_s.t)                            (Eq. 2)
     h(P, v_s, v_e, t) = v_s + P(t) * (v_e - v_s)                    (Eq. 3)
 
-Equation 2 is the uniform-progress case.  The paper notes ``P`` "can be
-derived online to fit the distribution of the actual data", e.g. a Gaussian
-fitted with Knuth's semi-numeric online updates; both options are
-implemented here.  The same machinery reconstructs ``x``/``y`` plane
-coordinates, altitude, or anything else carried by the key points.
+This library reconstructs with uniform progress (Eq. 2) only, so the error
+it measures is the synchronized Euclidean distance (SED) of each raw fix
+from the position reconstructed at the fix's own timestamp.  The paper's
+online-fitted progress distributions are not implemented.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .point import PlanePoint
-from .statistics import OnlineGaussian
 from .trajectory import CompressedTrajectory
 
-__all__ = [
-    "ProgressDistribution",
-    "UniformProgress",
-    "GaussianProgress",
-    "interpolate",
-    "reconstruct_at",
-    "reconstruct_series",
-    "synchronized_deviation",
-    "synchronized_deviation_xyt",
-    "max_synchronized_deviation",
-]
-
-
-class ProgressDistribution(Protocol):
-    """Maps a timestamp inside ``[t_start, t_end]`` to progress in [0, 1]."""
-
-    def progress(self, t: float, t_start: float, t_end: float) -> float:
-        """Fraction of the segment travelled by time ``t``."""
-        ...
-
-
-@dataclass(frozen=True)
-class UniformProgress:
-    """Equation 2: uniform progress ``P(t) = (t - ts) / (te - ts)``."""
-
-    def progress(self, t: float, t_start: float, t_end: float) -> float:
-        if t_end <= t_start:
-            return 1.0
-        p = (t - t_start) / (t_end - t_start)
-        return min(1.0, max(0.0, p))
-
-
-@dataclass
-class GaussianProgress:
-    """Progress following an online-fitted Gaussian arrival-time profile.
-
-    The fitted CDF is renormalised over each segment's window so that
-    ``P(t_start) = 0`` and ``P(t_end) = 1``; with no (or degenerate) fit it
-    falls back to uniform progress, so reconstruction is always defined.
-    """
-
-    fit: OnlineGaussian = field(default_factory=OnlineGaussian)
-
-    def observe(self, t: float) -> None:
-        """Feed one observed within-segment timestamp into the fit."""
-        self.fit.observe(t)
-
-    def progress(self, t: float, t_start: float, t_end: float) -> float:
-        if t_end <= t_start:
-            return 1.0
-        t = min(max(t, t_start), t_end)
-        lo = self.fit.cdf(t_start)
-        hi = self.fit.cdf(t_end)
-        span = hi - lo
-        if self.fit.stats.count < 2 or span <= 1e-12:
-            return (t - t_start) / (t_end - t_start)
-        return min(1.0, max(0.0, (self.fit.cdf(t) - lo) / span))
-
-
-def interpolate(
-    start_value: float,
-    end_value: float,
-    p: float,
-) -> float:
-    """Equation 3's ``h``: mix two endpoint values by progress ``p``."""
-    return start_value + p * (end_value - start_value)
-
-
-def reconstruct_at(
-    v_start: PlanePoint,
-    v_end: PlanePoint,
-    t: float,
-    distribution: ProgressDistribution | None = None,
-) -> PlanePoint:
-    """Equation 1: the reconstructed location at time ``t``.
-
-    ``t`` must lie within ``[v_start.t, v_end.t]``; the z coordinate is
-    interpolated alongside x and y so 3-D reconstructions work unchanged.
-    """
-    if not (min(v_start.t, v_end.t) <= t <= max(v_start.t, v_end.t)):
-        raise ValueError(
-            f"t={t} outside segment window [{v_start.t}, {v_end.t}]"
-        )
-    dist = distribution if distribution is not None else UniformProgress()
-    p = dist.progress(t, v_start.t, v_end.t)
-    return PlanePoint(
-        x=interpolate(v_start.x, v_end.x, p),
-        y=interpolate(v_start.y, v_end.y, p),
-        t=t,
-        z=interpolate(v_start.z, v_end.z, p),
-    )
+__all__ = ["synchronized_deviation_xyt", "max_synchronized_deviation"]
 
 
 def synchronized_deviation_xyt(
@@ -126,12 +33,16 @@ def synchronized_deviation_xyt(
     ax: float, ay: float, at: float,
     bx: float, by: float, bt: float,
 ) -> float:
-    """Uniform-progress SED from bare coordinates (the columnar hot path).
+    """Synchronized Euclidean distance (SED) of ``(px, py)`` at ``pt`` from
+    the segment ``a → b``.
 
-    Float-for-float identical to :func:`synchronized_deviation` with the
-    default (uniform) progress distribution, but takes the nine raw
-    coordinates so batch callers (TD-TR's column scan) skip the
-    ``PlanePoint`` materialization entirely.
+    The distance between the point and the position reconstructed on the
+    segment at the point's own timestamp (Eq. 1–3, uniform progress
+    clamped to the segment window): the error metric TD-TR minimises and
+    the one the evaluation harness reports as "max SED".  A zero-duration
+    segment (co-timestamped key points) has no unique reconstruction, so
+    the nearer endpoint is used.  Takes bare coordinates so column scans
+    build no ``PlanePoint``.
     """
     if bt <= at:
         return min(
@@ -144,107 +55,49 @@ def synchronized_deviation_xyt(
     return math.hypot(px - x, py - y)
 
 
-def synchronized_deviation(
-    p: PlanePoint,
-    v_start: PlanePoint,
-    v_end: PlanePoint,
-    distribution: ProgressDistribution | None = None,
-) -> float:
-    """Synchronized Euclidean distance (SED) of ``p`` from a segment.
-
-    The distance between ``p`` and the position reconstructed on the
-    segment at ``p``'s own timestamp — the error metric TD-TR minimises and
-    the one the evaluation harness reports as "max SED".  Timestamps
-    outside the segment window are clamped by the progress distribution.
-    A zero-duration segment (co-timestamped key points) has no unique
-    reconstruction, so the nearer endpoint is used.
-    """
-    if distribution is None:
-        return synchronized_deviation_xyt(
-            p.x, p.y, p.t,
-            v_start.x, v_start.y, v_start.t,
-            v_end.x, v_end.y, v_end.t,
-        )
-    if v_end.t <= v_start.t:
-        return min(
-            math.hypot(p.x - v_start.x, p.y - v_start.y),
-            math.hypot(p.x - v_end.x, p.y - v_end.y),
-        )
-    prog = distribution.progress(p.t, v_start.t, v_end.t)
-    x = interpolate(v_start.x, v_end.x, prog)
-    y = interpolate(v_start.y, v_end.y, prog)
-    return math.hypot(p.x - x, p.y - y)
-
-
 def max_synchronized_deviation(
     compressed: CompressedTrajectory,
     original: Sequence[PlanePoint],
-    distribution: ProgressDistribution | None = None,
 ) -> float:
     """Max SED of ``original`` against a compressed trajectory (0 if empty).
 
     Each original point is measured against the compressed segment covering
     its timestamp, mirroring
     :meth:`~repro.model.trajectory.CompressedTrajectory.max_deviation_from`
-    but under temporal reconstruction instead of geometric deviation.
+    but under temporal reconstruction instead of geometric deviation.  Reads
+    the key point columns; builds no key points.
     """
-    keys = compressed.key_points
-    if not keys or not original:
+    ts, xs, ys = compressed.ts, compressed.xs, compressed.ys
+    n = len(ts)
+    if not n or not original:
         return 0.0
-    if len(keys) == 1:
-        only = keys[0]
-        return max(math.hypot(p.x - only.x, p.y - only.y) for p in original)
+    if n == 1:
+        x0, y0 = xs[0], ys[0]
+        return max(math.hypot(p.x - x0, p.y - y0) for p in original)
     worst = 0.0
     idx = 0
     for p in original:
-        while idx + 2 < len(keys) and keys[idx + 1].t < p.t:
+        px, py, pt = p.x, p.y, p.t
+        while idx + 2 < n and ts[idx + 1] < pt:
             idx += 1
         # Zero-duration segments (consecutive key points sharing a
         # timestamp) make the representation multivalued at that instant;
         # audit against the nearest covering segment.
         best = math.inf
         j = idx
-        while j + 1 < len(keys) and keys[j].t <= p.t:
-            d = synchronized_deviation(p, keys[j], keys[j + 1], distribution)
+        while j + 1 < n and ts[j] <= pt:
+            d = synchronized_deviation_xyt(
+                px, py, pt, xs[j], ys[j], ts[j], xs[j + 1], ys[j + 1], ts[j + 1]
+            )
             if d < best:
                 best = d
             j += 1
         if math.isinf(best):
-            best = synchronized_deviation(p, keys[idx], keys[idx + 1], distribution)
+            best = synchronized_deviation_xyt(
+                px, py, pt,
+                xs[idx], ys[idx], ts[idx],
+                xs[idx + 1], ys[idx + 1], ts[idx + 1],
+            )
         if best > worst:
             worst = best
     return worst
-
-
-def reconstruct_series(
-    compressed: CompressedTrajectory,
-    timestamps: Sequence[float],
-    distribution: ProgressDistribution | None = None,
-) -> list[PlanePoint]:
-    """Reconstruct positions at many (sorted) timestamps in one pass.
-
-    Timestamps must be non-decreasing and within the compressed
-    trajectory's overall time window.
-    """
-    if not compressed.key_points:
-        raise ValueError("cannot reconstruct from an empty trajectory")
-    for prev, cur in zip(timestamps, timestamps[1:]):
-        if cur < prev:
-            raise ValueError("timestamps must be non-decreasing")
-
-    keys = compressed.key_points
-    if len(keys) == 1:
-        only = keys[0]
-        return [PlanePoint(only.x, only.y, t, only.z) for t in timestamps]
-
-    out: list[PlanePoint] = []
-    idx = 0
-    for t in timestamps:
-        if t < keys[0].t or t > keys[-1].t:
-            raise ValueError(
-                f"t={t} outside trajectory window [{keys[0].t}, {keys[-1].t}]"
-            )
-        while idx + 2 < len(keys) and t > keys[idx + 1].t:
-            idx += 1
-        out.append(reconstruct_at(keys[idx], keys[idx + 1], t, distribution))
-    return out

@@ -1,23 +1,18 @@
-"""Trajectory data model (paper Section IV).
+"""Compressed trajectories (paper Section IV).
 
-Definitions implemented here, verbatim from the paper:
+The paper's definitions: a *segment* is "a set of location points that are
+taken consecutively in the temporal domain, denoted τ = {v1, ..., vn}"; a
+*trajectory* is "a set of consecutive segments, T = {τ1, τ2, ...}"; the
+*deviation* of a segment is "the largest distance from any location
+vi ∈ {v2,...,vn−1} to the line defined by v1 and vn".  A *compressed
+trajectory* is the ordered start/end locations of all segments, and it is
+*error-bounded* when every segment has deviation ≤ d.
 
-*Segment* — "a set of location points that are taken consecutively in the
-temporal domain, denoted τ = {v1, ..., vn}".
-
-*Trajectory* — "a set of consecutive segments, T = {τ1, τ2, ...}".
-
-*Deviation* — "the largest distance from any location vi ∈ {v2,...,vn−1} to
-the line defined by v1 and vn"; the trajectory deviation is the maximum over
-its segments.
-
-*Compressed trajectory* — the ordered start/end locations of all segments.
-
-*Error-bounded trajectory* — a compressed trajectory whose every segment has
-deviation ≤ d.
-
-The classes below operate on projected :class:`~repro.model.point.PlanePoint`
-instances; use :mod:`repro.model.projection` to get there from raw GPS.
+Raw segments reach the compressors as point streams or float columns and
+are never held as objects.  :class:`CompressedTrajectory` holds the output
+as :class:`~repro.model.point.PlanePoint` key points in a projected frame
+(:mod:`repro.model.projection` gets there from raw GPS), and
+:meth:`CompressedTrajectory.max_deviation_from` audits the bound.
 """
 
 from __future__ import annotations
@@ -36,129 +31,7 @@ from .projection import UTMProjection
 if TYPE_CHECKING:  # runtime import stays late: columns imports point
     from .columns import TrajectoryColumns
 
-__all__ = [
-    "Segment",
-    "Trajectory",
-    "CompressedTrajectory",
-    "segment_deviation",
-    "GPS_SAMPLE_BYTES",
-]
-
-#: Storage footprint of one stored sample on the target platform:
-#: latitude, longitude and timestamp at 4 bytes each (Section VI-C-4).
-GPS_SAMPLE_BYTES = 12
-
-
-def segment_deviation(
-    points: Sequence[PlanePoint],
-    metric: DistanceMetric = DistanceMetric.POINT_TO_LINE,
-) -> float:
-    """The paper's deviation ``â(τ)`` of a raw segment.
-
-    Measures every interior point against the line (or line segment)
-    defined by the first and last points.  Segments with fewer than three
-    points have zero deviation by definition.
-    """
-    if len(points) < 3:
-        return 0.0
-    a = points[0].xy
-    b = points[-1].xy
-    best = 0.0
-    for p in points[1:-1]:
-        d = metric_deviation(p.xy, a, b, metric)
-        if d > best:
-            best = d
-    return best
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A temporally-consecutive run of location points ``τ = {v1..vn}``."""
-
-    points: tuple[PlanePoint, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) < 1:
-            raise ValueError("a segment needs at least one point")
-        for prev, cur in zip(self.points, self.points[1:]):
-            if cur.t < prev.t:
-                raise ValueError(
-                    "segment points must be non-decreasing in time "
-                    f"({prev.t} then {cur.t})"
-                )
-
-    @classmethod
-    def from_points(cls, points: Iterable[PlanePoint]) -> "Segment":
-        return cls(tuple(points))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[PlanePoint]:
-        return iter(self.points)
-
-    @property
-    def start(self) -> PlanePoint:
-        return self.points[0]
-
-    @property
-    def end(self) -> PlanePoint:
-        return self.points[-1]
-
-    @property
-    def duration(self) -> float:
-        """Elapsed seconds between the first and last sample."""
-        return self.end.t - self.start.t
-
-    def deviation(
-        self, metric: DistanceMetric = DistanceMetric.POINT_TO_LINE
-    ) -> float:
-        """``â(τ)``: max interior-point distance to the start-end line."""
-        return segment_deviation(self.points, metric)
-
-    def path_length(self) -> float:
-        """Sum of consecutive point-to-point distances (metres)."""
-        total = 0.0
-        for prev, cur in zip(self.points, self.points[1:]):
-            total += prev.distance_to(cur)
-        return total
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A set of consecutive segments ``T = {τ1, τ2, ...}``."""
-
-    segments: tuple[Segment, ...]
-
-    @classmethod
-    def from_segments(cls, segments: Iterable[Segment]) -> "Trajectory":
-        return cls(tuple(segments))
-
-    @classmethod
-    def single(cls, points: Iterable[PlanePoint]) -> "Trajectory":
-        """A trajectory holding one segment with all the given points."""
-        return cls((Segment.from_points(points),))
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
-
-    def point_count(self) -> int:
-        return sum(len(s) for s in self.segments)
-
-    def all_points(self) -> list[PlanePoint]:
-        out: list[PlanePoint] = []
-        for seg in self.segments:
-            out.extend(seg.points)
-        return out
-
-    def deviation(
-        self, metric: DistanceMetric = DistanceMetric.POINT_TO_LINE
-    ) -> float:
-        """Trajectory deviation: ``max(â(τi))`` over the segments."""
-        return max((s.deviation(metric) for s in self.segments), default=0.0)
+__all__ = ["CompressedTrajectory"]
 
 
 @dataclass(frozen=True, init=False)
@@ -293,17 +166,6 @@ class CompressedTrajectory:
             return 0.0
         return len(self) / self.original_count
 
-    @property
-    def compression_ratio(self) -> float:
-        """``N_original / N_compressed`` (the conventional ratio; higher = better)."""
-        if not len(self):
-            return 0.0
-        return self.original_count / len(self)
-
-    def storage_bytes(self, bytes_per_point: int = GPS_SAMPLE_BYTES) -> int:
-        """Bytes needed to store the key points on the target platform."""
-        return len(self) * bytes_per_point
-
     def to_columns(self) -> "TrajectoryColumns":
         """The stored ``(ts, xs, ys)`` columns, not copied.
 
@@ -315,32 +177,6 @@ class CompressedTrajectory:
         from .columns import TrajectoryColumns  # late: columns imports point
 
         return TrajectoryColumns.wrap(self.ts, self.xs, self.ys)
-
-    def segments(self) -> list[tuple[PlanePoint, PlanePoint]]:
-        """The (start, end) pairs of every compressed segment."""
-        return list(zip(self.key_points, self.key_points[1:]))
-
-    def segment_for_time(self, t: float) -> tuple[PlanePoint, PlanePoint]:
-        """The compressed segment whose time window contains ``t``.
-
-        Raises ``ValueError`` outside the trajectory's time range.
-        """
-        if not self.key_points:
-            raise ValueError("empty compressed trajectory")
-        if t < self.key_points[0].t or t > self.key_points[-1].t:
-            raise ValueError(
-                f"t={t} outside trajectory time range "
-                f"[{self.key_points[0].t}, {self.key_points[-1].t}]"
-            )
-        # Linear scan is fine: reconstruction walks segments in order, and
-        # random access uses segment_for_time rarely; key point lists are
-        # small by construction (that is the whole point of compression).
-        for a, b in zip(self.key_points, self.key_points[1:]):
-            if a.t <= t <= b.t:
-                return (a, b)
-        # t equals the final timestamp of a single-point trajectory.
-        last = self.key_points[-1]
-        return (last, last)
 
     def max_deviation_from(self, original: Sequence[PlanePoint]) -> float:
         """Audit helper: maximum deviation of ``original`` from this result.

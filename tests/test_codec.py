@@ -29,7 +29,7 @@ from repro.compression.evaluate import synthetic_track
 from repro.geometry import DistanceMetric
 from repro.model import CompressedTrajectory, LocationPoint, PlanePoint
 from repro.model.point import _trusted_plane_point
-from repro.model.projection import UTMProjection, project_track
+from repro.model.projection import UTMProjection
 from repro.storage import (
     DEFAULT_T_QUANTUM,
     DEFAULT_XY_QUANTUM,
@@ -530,7 +530,10 @@ class TestGeodetic:
             lon += rng.uniform(-4e-5, 4e-5)
 
         projection = UTMProjection(zone=zone, south=south)
-        plane = project_track(fixes, projection)
+        plane = [
+            PlanePoint(*projection.forward(f.latitude, f.longitude), f.timestamp)
+            for f in fixes
+        ]
         compressed = BQSCompressor(10.0).compress(plane)
         assert compressed.max_deviation_from(plane) <= 10.0 * (1 + 1e-9)
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.compression import BQSCompressor, default_suite
 from repro.engine import StreamEngine, bqs_fleet_factory, fleet_fixes, iter_fix_batches
+from repro.model import max_synchronized_deviation
 from repro.storage import StoreSink, TrajectoryStore, encode_trajectory
 from repro.testing.workloads import fleet_digest, key_point_digest, make_workload
 
@@ -44,6 +45,34 @@ bursty_pause  uniform          201 514442634cfa8038
 bursty_pause  douglas-peucker   79 052ccb3e85b834f2
 bursty_pause  td-tr            100 a038a4a91af6b8f6
 """
+# max_synchronized_deviation(out, input).hex() for the same 24 cells: the
+# evaluation CLI's "max SED" column, held to the bit.
+MAX_SED_PINS = """
+random_walk   bqs             0x1.113c8e42faaedp+5
+random_walk   fast-bqs        0x1.f2935b3059263p+4
+random_walk   dead-reckoning  0x1.c16d9f9bf0e23p+2
+random_walk   uniform         0x1.462725fd234cfp+4
+random_walk   douglas-peucker 0x1.4ebb96a89ec9cp+5
+random_walk   td-tr           0x1.3f3cdcaa53fcep+3
+vehicle_route bqs             0x1.40784905b60f2p+8
+vehicle_route fast-bqs        0x1.40784905b60f2p+8
+vehicle_route dead-reckoning  0x1.78b10468c88b6p+2
+vehicle_route uniform         0x1.56b35eee376abp+5
+vehicle_route douglas-peucker 0x1.36fb307a9763cp+8
+vehicle_route td-tr           0x1.396be05414a48p+3
+flight_arc    bqs             0x1.4114a6467d5b6p+3
+flight_arc    fast-bqs        0x1.2d7aeede56499p+3
+flight_arc    dead-reckoning  0x1.dbf1e933f5b9cp+2
+flight_arc    uniform         0x1.43cee40f22e68p+3
+flight_arc    douglas-peucker 0x1.5277157a8c518p+3
+flight_arc    td-tr           0x1.35a082d560101p+3
+bursty_pause  bqs             0x1.d41d82e01483dp+6
+bursty_pause  fast-bqs        0x1.2104e0fa7de3fp+5
+bursty_pause  dead-reckoning  0x1.c545bae913ba9p+2
+bursty_pause  uniform         0x1.2c773a1ce66c5p+4
+bursty_pause  douglas-peucker 0x1.de58f7173f894p+5
+bursty_pause  td-tr           0x1.3d8c00bb95954p+3
+"""
 FLEET_PIN = ("4c28eb8b48f87275", 118, 25)  # fleet[]: key_digest, key_points, trajectories
 STORE_PIN = "915784f3f1ef381313f2e27e206072e7d048acea2272ab7597c60caa7d106f17"  # durability.store_digest
 BLOB_PIN = "8d7ab8256d787d7b"  # storage.blob_digest
@@ -56,6 +85,15 @@ def test_key_point_pin(row):
     compressor = {c.name: c for c in default_suite(10.0)}[algorithm]  # the paper's six at eps 10
     out = compressor.compress(make_workload(workload, 2000, seed=7))
     assert (len(out.key_points), key_point_digest(out.key_points)) == (int(key_points), digest)
+
+
+@pytest.mark.parametrize("row", MAX_SED_PINS.strip().splitlines())
+def test_max_sed_pin(row):
+    workload, algorithm, sed_hex = row.split()
+    compressor = {c.name: c for c in default_suite(10.0)}[algorithm]
+    points = make_workload(workload, 2000, seed=7)
+    out = compressor.compress(points)
+    assert max_synchronized_deviation(out, points).hex() == sed_hex
 
 
 def test_fleet_and_store_pins(tmp_path):

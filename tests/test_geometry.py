@@ -1,20 +1,40 @@
-"""Geometry kernel tests: distances, hulls, wedge/box bound helpers."""
+"""Geometry kernel tests: distances, wedge/box bound helpers, projections."""
 
 import math
 import random
 
 import pytest
 
+from repro.compression.fast_bqs import polar_angle
 from repro.geometry import (
-    convex_hull,
+    cross,
     max_distance_to_line_origin,
-    point_in_convex_polygon,
     point_line_distance,
     point_line_distance_origin,
     point_segment_distance,
     wedge_box_polygon,
 )
-from repro.geometry.planar import angle_of, cross
+
+
+def inside_ccw_polygon(p, polygon, tol=1e-12):
+    """Whether ``p`` lies inside (or on) a counter-clockwise convex polygon."""
+    n = len(polygon)
+    if n < 3:
+        return False
+    for i in range(n):
+        a, b = polygon[i], polygon[(i + 1) % n]
+        if cross((b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1])) < -tol:
+            return False
+    return True
+
+
+def haversine_m(lat1, lon1, lat2, lon2, radius_m=6_371_008.8):
+    """Great-circle distance in metres on the mean-radius sphere."""
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    dphi = phi2 - phi1
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
+    return 2.0 * radius_m * math.asin(min(1.0, math.sqrt(a)))
 
 
 class TestPointLineDistance:
@@ -53,33 +73,6 @@ class TestPointSegmentDistance:
             assert point_segment_distance(p, a, b) >= point_line_distance(p, a, b) - 1e-9
 
 
-class TestConvexHull:
-    def test_square_with_interior_points(self):
-        pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5), (0.2, 0.8)]
-        hull = convex_hull(pts)
-        assert sorted(hull) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-
-    def test_hull_contains_all_points(self):
-        rng = random.Random(3)
-        pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(200)]
-        hull = convex_hull(pts)
-        for p in pts:
-            assert point_in_convex_polygon(p, hull)
-
-    def test_hull_is_counter_clockwise(self):
-        rng = random.Random(4)
-        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(50)]
-        hull = convex_hull(pts)
-        n = len(hull)
-        for i in range(n):
-            o, a, b = hull[i], hull[(i + 1) % n], hull[(i + 2) % n]
-            assert cross((a[0] - o[0], a[1] - o[1]), (b[0] - o[0], b[1] - o[1])) > 0
-
-    def test_collinear_and_tiny_inputs(self):
-        assert convex_hull([(0, 0)]) == [(0.0, 0.0)]
-        assert convex_hull([(0, 0), (1, 1), (2, 2)]) == [(0.0, 0.0), (2.0, 2.0)]
-
-
 class TestWedgeBoxHelpers:
     def test_wedge_box_polygon_contains_conforming_points(self):
         """Points inside both box and wedge stay inside the clipped polygon."""
@@ -90,11 +83,11 @@ class TestWedgeBoxHelpers:
                 (rng.uniform(box[0], box[2]), rng.uniform(box[1], box[3]))
                 for _ in range(30)
             ]
-            angles = [angle_of(p) for p in pts]
+            angles = [polar_angle(*p) for p in pts]
             lo, hi = min(angles), max(angles)
             poly = wedge_box_polygon(*box, lo, hi)
             for p in pts:
-                assert point_in_convex_polygon(p, poly)
+                assert inside_ccw_polygon(p, poly)
 
     def test_polygon_bound_dominates_member_points(self):
         """Max vertex distance upper-bounds every member point's distance."""
@@ -105,7 +98,7 @@ class TestWedgeBoxHelpers:
             max_x = max(p[0] for p in pts)
             min_y = min(p[1] for p in pts)
             max_y = max(p[1] for p in pts)
-            angles = [angle_of(p) for p in pts]
+            angles = [polar_angle(*p) for p in pts]
             poly = wedge_box_polygon(min_x, min_y, max_x, max_y, min(angles), max(angles))
             direction = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             bound = max_distance_to_line_origin(poly, direction)
@@ -137,7 +130,7 @@ class TestProjectionRoundTrip:
         assert lon == pytest.approx(2.3600, abs=1e-9)
 
     def test_utm_distances_match_haversine(self):
-        from repro.model import UTMProjection, haversine_m
+        from repro.model import UTMProjection
 
         proj = UTMProjection.for_coordinate(40.7128, -74.0060)  # New York
         a = (40.7128, -74.0060)

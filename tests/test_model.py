@@ -1,4 +1,4 @@
-"""Data-model tests: trajectories, compressed output, reconstruction/SED."""
+"""Data-model tests: compressed output, reconstruction/SED."""
 
 import gc
 import math
@@ -12,39 +12,14 @@ import pytest
 from repro.model import (
     CompressedTrajectory,
     PlanePoint,
-    Segment,
-    Trajectory,
-    iter_plane_points,
     max_synchronized_deviation,
-    reconstruct_at,
-    reconstruct_series,
-    synchronized_deviation,
+    synchronized_deviation_xyt,
     UTMProjection,
 )
 
 
 def pts(*coords):
     return tuple(PlanePoint(x, y, t) for x, y, t in coords)
-
-
-class TestSegmentAndTrajectory:
-    def test_segment_deviation_known_triangle(self):
-        seg = Segment(pts((0, 0, 0), (1, 2, 1), (2, 0, 2)))
-        assert seg.deviation() == pytest.approx(2.0)
-
-    def test_time_order_enforced(self):
-        with pytest.raises(ValueError):
-            Segment(pts((0, 0, 1), (1, 1, 0)))
-
-    def test_trajectory_deviation_is_max_over_segments(self):
-        t = Trajectory(
-            (
-                Segment(pts((0, 0, 0), (1, 0.5, 1), (2, 0, 2))),
-                Segment(pts((2, 0, 2), (3, 3, 3), (4, 0, 4))),
-            )
-        )
-        assert t.deviation() == pytest.approx(3.0)
-        assert t.point_count() == 6
 
 
 class TestCompressedTrajectory:
@@ -56,7 +31,6 @@ class TestCompressedTrajectory:
         )
         assert ct.algorithm == "bqs"
         assert ct.compression_rate == pytest.approx(0.2)
-        assert ct.compression_ratio == pytest.approx(5.0)
 
     def test_max_deviation_from_straight_chord(self):
         original = pts((0, 0, 0), (1, 1, 1), (2, 0, 2), (3, 0, 3))
@@ -172,33 +146,15 @@ class TestColumnBackedTrajectory:
 
 
 class TestReconstruction:
-    def test_uniform_midpoint(self):
-        a = PlanePoint(0.0, 0.0, 0.0)
-        b = PlanePoint(10.0, 20.0, 10.0)
-        mid = reconstruct_at(a, b, 5.0)
-        assert (mid.x, mid.y) == (5.0, 10.0)
-
-    def test_series_walks_segments(self):
-        ct = CompressedTrajectory(pts((0, 0, 0), (10, 0, 10), (10, 10, 20)), 3)
-        series = reconstruct_series(ct, [0.0, 5.0, 15.0, 20.0])
-        assert (series[1].x, series[1].y) == (5.0, 0.0)
-        assert (series[2].x, series[2].y) == (10.0, 5.0)
-
     def test_synchronized_deviation_is_sed(self):
-        a = PlanePoint(0.0, 0.0, 0.0)
-        b = PlanePoint(10.0, 0.0, 10.0)
-        p = PlanePoint(5.0, 3.0, 5.0)
-        assert synchronized_deviation(p, a, b) == pytest.approx(3.0)
+        a = (0.0, 0.0, 0.0)
+        b = (10.0, 0.0, 10.0)
+        assert synchronized_deviation_xyt(5.0, 3.0, 5.0, *a, *b) == pytest.approx(3.0)
         # A point lagging behind schedule picks up longitudinal error too.
-        late = PlanePoint(2.0, 0.0, 5.0)
-        assert synchronized_deviation(late, a, b) == pytest.approx(3.0)
+        assert synchronized_deviation_xyt(2.0, 0.0, 5.0, *a, *b) == pytest.approx(3.0)
 
     def test_max_synchronized_deviation_over_track(self):
         original = pts((0, 0, 0), (4, 1, 5), (10, 0, 10))
         ct = CompressedTrajectory(pts((0, 0, 0), (10, 0, 10)), 3)
         # At t=5 the reconstruction sits at (5, 0); the point is at (4, 1).
         assert max_synchronized_deviation(ct, original) == pytest.approx(2.0 ** 0.5)
-
-    def test_iter_plane_points_default_timestamps(self):
-        points = list(iter_plane_points([0, 1], [2, 3]))
-        assert [p.t for p in points] == [0.0, 1.0]
